@@ -4,7 +4,6 @@ monotone Boolean feasibility functions."""
 from .cube import (
     BernoulliMeasure,
     InfluenceReport,
-    RestrictedFunction,
     TabulatedFunction,
     Vertex,
     estimate_influence_bernoulli,
@@ -36,7 +35,6 @@ from .models import (
     basis,
     exact_maxcon_bases,
     exact_maxcon_enumerate,
-    feasibility,
     load_dataset_csv,
     minimax_fit,
     residual,

@@ -305,6 +305,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "estimator", None) == "hamming" and args.level is None:
+            parser.error("--estimator hamming requires --level")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,12 +14,13 @@ exact-influence routines use it when present.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -94,6 +95,7 @@ class Vertex:
     def from_indices(cls, indices: Iterable[int], n: int) -> "Vertex":
         bits = 0
         for i in indices:
+            i = operator.index(i)  # numpy integers would overflow the shift
             if not 0 <= i < n:
                 raise IndexError(f"index {i} out of range for n={n}")
             bits |= 1 << i
@@ -135,6 +137,18 @@ def as_mask(subset: "Vertex | int | Iterable[int]", n: int) -> int:
             raise ValueError(f"mask {bits:#x} out of range for n={n}")
         return bits
     return Vertex.from_indices(subset, n).bits
+
+
+def mask_rows(mask: int, n: int) -> np.ndarray:
+    """Indices of the set bits of a width-n mask, ascending."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")[:n])
+
+
+def flags_mask(flags: np.ndarray) -> int:
+    """Bitmask whose bit j is ``flags[j]``; the inverse of ``mask_rows``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 # --------------------------------------------------------------------------
@@ -213,23 +227,14 @@ def substream(seed, key: int) -> np.random.Generator:
 def sample_bernoulli(n: int, q: float, rng) -> Vertex:
     """Draw a vertex with independent Bernoulli(q) bits."""
     _check_q(q)
-    gen = _as_generator(rng)
-    row = gen.random(n) < q
-    bits = 0
-    for i in np.flatnonzero(row):
-        bits |= 1 << int(i)
-    return Vertex(bits, n)
+    return Vertex(flags_mask(_as_generator(rng).random(n) < q), n)
+
 
 def sample_level(n: int, k: int, rng) -> Vertex:
     """Draw a uniformly random vertex with exactly k set bits."""
     if not 0 <= k <= n:
         raise ValueError(f"level {k} out of range for n={n}")
-    gen = _as_generator(rng)
-    picks = gen.choice(n, size=k, replace=False)
-    bits = 0
-    for i in picks:
-        bits |= 1 << int(i)
-    return Vertex(bits, n)
+    return Vertex.from_indices(_as_generator(rng).choice(n, size=k, replace=False), n)
 
 
 # --------------------------------------------------------------------------
@@ -264,31 +269,6 @@ class TabulatedFunction:
     @classmethod
     def from_function(cls, f: BooleanFunction) -> "TabulatedFunction":
         return cls(truth_table(f), f.n)
-
-
-@dataclass(frozen=True)
-class RestrictedFunction:
-    """A Boolean function on the sub-cube spanned by selected parent indices.
-
-    Component j of the restricted cube maps to parent index ``index_map[j]``;
-    all other parent components are fixed to 0.
-    """
-
-    parent: Callable[[int], int]
-    index_map: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.index_map)
-
-    def __call__(self, bits: int) -> int:
-        expanded = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            expanded |= 1 << self.index_map[low.bit_length() - 1]
-            rest ^= low
-        return self.parent(expanded)
 
 
 def _check_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
@@ -476,6 +456,21 @@ def _flip_value(f, bits: int, fb: int, i: int) -> int:
     return f(bits ^ (1 << i))
 
 
+def _support_positions(n: int, support: Iterable[int] | None) -> tuple[list[int], dict]:
+    """The support as a list of parent indices, and each one's position in it."""
+    sup = list(range(n)) if support is None else [operator.index(j) for j in support]
+    if any(not 0 <= j < n for j in sup) or any(a >= b for a, b in zip(sup, sup[1:])):
+        raise ValueError(f"support must be ascending indices below n={n}")
+    return sup, {j: pos for pos, j in enumerate(sup)}
+
+
+def _position(positions: dict, i: int) -> int:
+    pos = positions.get(i)
+    if pos is None:
+        raise IndexError(f"index {i} is not in the support")
+    return pos
+
+
 def estimate_influence_bernoulli(
     f: BooleanFunction,
     indices: Sequence[int],
@@ -484,19 +479,24 @@ def estimate_influence_bernoulli(
     seed,
     mode: str = "paper",
     workers: int | None = None,
+    support: Iterable[int] | None = None,
 ) -> InfluenceReport:
     """Sampled influence under bit bias q from h/2 draws paired with their flips.
 
-    For each index the base vertices are drawn from the product measure and the
-    second half of the sample is their i-flips.  In "paper" mode each term is
-    additionally weighted by the drawn vertex's own measure and the sum is
-    divided by h; in "unbiased" mode the measure factor is dropped and the sum
-    is divided by the actual sample count 2*(h//2), so at q = 1/2 the mean is
-    an unbiased estimate of the first-order Fourier coefficient before the
-    final -1/sqrt(q(1-q)) scaling.
+    Sampling is confined to the sub-cube of ``support`` (ascending parent
+    indices, the whole cube by default): parent bits outside it stay 0, and
+    ``indices`` and the score keys are parent indices within it.  For each
+    index the base vertices are drawn from the product measure on the support
+    and the second half of the sample is their i-flips.  In "paper" mode each
+    term is additionally weighted by the drawn vertex's own measure on the
+    support and the sum is divided by h; in "unbiased" mode the measure factor
+    is dropped and the sum is divided by the actual sample count 2*(h//2), so
+    at q = 1/2 the mean is an unbiased estimate of the first-order Fourier
+    coefficient before the final -1/sqrt(q(1-q)) scaling.
 
-    Each index consumes an independent substream derived from (seed, index),
-    so results are identical for any worker count.
+    Each index consumes an independent substream derived from (seed, position
+    of the index in the support), so results are identical for any worker
+    count, and on the whole cube the position is the index itself.
     """
     _check_q(q)
     if h < 2:
@@ -504,23 +504,23 @@ def estimate_influence_bernoulli(
     if mode not in ("paper", "unbiased"):
         raise ValueError(f"unknown estimator mode {mode!r}")
     n = f.n
+    sup, positions = _support_positions(n, support)
     m = BernoulliMeasure(q)
     q_minus, q_plus = m.q_minus, m.q_plus
-    weights = level_weights(n, float(q)) if mode == "paper" else None
+    weights = level_weights(len(sup), float(q)) if mode == "paper" else None
     half = h // 2
     denom = h if mode == "paper" else 2 * half
     scale = -1.0 / (denom * math.sqrt(q * (1.0 - q)))
 
     def one_index(i: int) -> tuple[int, float]:
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for n={n}")
-        gen = substream(seed, i)
-        rows = gen.random((half, n)) < q
+        i = operator.index(i)
+        gen = substream(seed, _position(positions, i))
+        flags = np.zeros((half, n), dtype=bool)
+        flags[:, sup] = gen.random((half, len(sup))) < q
+        packed = np.packbits(flags, axis=1, bitorder="little")
         acc = 0.0
-        for row in rows:
-            bits = 0
-            for j in np.flatnonzero(row):
-                bits |= 1 << int(j)
+        for row in packed:
+            bits = int.from_bytes(row.tobytes(), "little")
             fb = f(bits)
             fc = _flip_value(f, bits, fb, i)
             bit_i = (bits >> i) & 1
@@ -554,29 +554,33 @@ def estimate_influence_hamming(
     h: int,
     seed,
     workers: int | None = None,
+    support: Iterable[int] | None = None,
 ) -> InfluenceReport:
     """Fraction of h uniform level-k vertices whose value flips with bit i.
 
-    Scores are left unnormalised (fractions of h rather than slice measures)
-    since only their relative order is consumed.  Flips cross to level k-1 or
-    k+1 depending on the sampled bit.
+    The vertices are drawn from level k of the sub-cube of ``support``
+    (ascending parent indices, the whole cube by default), and ``indices`` and
+    the score keys are parent indices within it.  Each index consumes the
+    substream of (seed, position of the index in the support).  Scores are
+    left unnormalised (fractions of h rather than slice measures) since only
+    their relative order is consumed.  Flips cross to level k-1 or k+1
+    depending on the sampled bit.
     """
     n = f.n
-    if not 0 <= k <= n:
-        raise ValueError(f"level {k} out of range for n={n}")
+    sup, positions = _support_positions(n, support)
+    if not 0 <= k <= len(sup):
+        raise ValueError(f"level {k} out of range for a support of {len(sup)}")
     if h < 1:
         raise ValueError(f"sample count h must be at least 1, got {h}")
 
     def one_index(i: int) -> tuple[int, float]:
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for n={n}")
-        gen = substream(seed, i)
+        i = operator.index(i)
+        gen = substream(seed, _position(positions, i))
         hits = 0
         for _ in range(h):
-            picks = gen.choice(n, size=k, replace=False)
             bits = 0
-            for j in picks:
-                bits |= 1 << int(j)
+            for j in gen.choice(len(sup), size=k, replace=False):
+                bits |= 1 << sup[j]
             fb = f(bits)
             if fb != _flip_value(f, bits, fb, i):
                 hits += 1

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import cube
-from .cube import as_mask, upward_closure_table
+from .cube import as_mask, flags_mask, mask_rows, upward_closure_table
 from .errors import BudgetError, ContractError, SolverError
 
 # Relative tolerance for membership in the active set of a minimax fit.
@@ -340,12 +340,6 @@ def _chebyshev_combos(
 # --------------------------------------------------------------------------
 
 
-def _mask_rows(mask: int, n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(packed, bitorder="little")[:n])
-
-
 class FeasibilityOracle:
     """Monotone Boolean infeasibility indicator over subsets of a dataset.
 
@@ -355,7 +349,8 @@ class FeasibilityOracle:
 
     - feasibility: cached parameter vectors (kept ranked by how many points
       of the whole dataset they cover, and polished by re-fits on their own
-      consensus) whose residuals on the queried points are all within epsilon;
+      consensus), each with its cover mask of the points within epsilon; a
+      query inside a cover mask is feasible with that vector as certificate;
     - infeasibility: cached small infeasible cores contained in the query;
     - either: the certified exchange ascent, which terminates only with an
       explicit infeasible core or an explicit within-epsilon parameter vector.
@@ -379,7 +374,8 @@ class FeasibilityOracle:
         self.epsilon = float(epsilon)
         self._memo: dict[int, int] | None = {} if cache else None
         self._theta_cache_size = theta_cache_size
-        self._thetas: list[tuple[int, np.ndarray]] = []  # (coverage, theta), best first
+        # (coverage, cover mask, theta), best first
+        self._thetas: list[tuple[int, int, np.ndarray]] = []
         self._witnesses: deque[int] = deque(maxlen=witness_cache_size)
         self._lock = threading.Lock()
         self._evals = 0
@@ -429,24 +425,20 @@ class FeasibilityOracle:
             if w & mask == w:
                 self._remember(mask, 1)
                 return 1
-        rows = _mask_rows(mask, self.n)
-        A = self.dataset.features[rows]
-        y = self.dataset.responses[rows]
-        best_theta = None
-        for _, theta in tuple(self._thetas):
-            if np.abs(A @ theta - y).max() <= self.epsilon:
+        thetas = tuple(self._thetas)
+        for _, cover, _ in thetas:
+            if mask & ~cover == 0:
                 self._remember(mask, 0)
                 return 0
-            if best_theta is None:
-                best_theta = theta
+        rows = mask_rows(mask, self.n)
+        A = self.dataset.features[rows]
+        y = self.dataset.responses[rows]
         with self._lock:
             self._core_tests += 1
-        verdict, evidence = _exchange_feasibility(A, y, self.epsilon, best_theta)
+        warm = thetas[0][2] if thetas else None
+        verdict, evidence = _exchange_feasibility(A, y, self.epsilon, warm)
         if verdict == 1:
-            witness = 0
-            for j in evidence:
-                witness |= 1 << int(rows[j])
-            self._witnesses.appendleft(witness)
+            self._witnesses.appendleft(as_mask(rows[evidence], self.n))
             self._remember(mask, 1)
             return 1
         if verdict == 0:
@@ -464,10 +456,7 @@ class FeasibilityOracle:
             self._remember(mask, 0)
             return 0
         tau = ACTIVE_SET_RTOL * (1.0 + value)
-        witness = 0
-        for j in np.flatnonzero(resid >= value - tau):
-            witness |= 1 << int(rows[j])
-        self._witnesses.appendleft(witness)
+        self._witnesses.appendleft(as_mask(rows[resid >= value - tau], self.n))
         self._remember(mask, 1)
         return 1
 
@@ -508,11 +497,12 @@ class FeasibilityOracle:
                 r2 = np.abs(feats @ refit - resp)
                 c2 = int((r2 <= self.epsilon).sum())
                 if c2 > cov:
-                    theta, cov = refit, c2
+                    theta, cov, resid = refit, c2, r2
+        cover = flags_mask(resid <= self.epsilon)
         with self._lock:
             if self._thetas and cov <= self._thetas[-1][0] and len(self._thetas) >= self._theta_cache_size:
                 return
-            self._thetas.append((cov, theta))
+            self._thetas.append((cov, cover, theta))
             self._thetas.sort(key=lambda e: -e[0])
             del self._thetas[self._theta_cache_size :]
 
@@ -533,11 +523,6 @@ class FeasibilityOracle:
         bad = combos[values > self.epsilon]
         generators = [int(np.bitwise_or.reduce(1 << row.astype(np.int64))) for row in bad]
         return upward_closure_table(n, generators)
-
-
-def feasibility(oracle: FeasibilityOracle, subset) -> int:
-    """Evaluate the oracle on a subset: 0 feasible, 1 infeasible."""
-    return oracle(subset)
 
 
 # --------------------------------------------------------------------------

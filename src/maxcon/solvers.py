@@ -22,10 +22,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .cube import RestrictedFunction, estimate_influence_bernoulli, estimate_influence_hamming
+from .cube import (
+    as_mask,
+    estimate_influence_bernoulli,
+    estimate_influence_hamming,
+    flags_mask,
+    mask_rows,
+)
 from .errors import ContractError, SolverError
 from .models import FeasibilityOracle, LinearDataset, minimax_fit, residuals
-from .models import _mask_rows  # shared bitmask helper
 
 RECOMMENDED_Q_MAX = 0.4
 RECOMMENDED_SAMPLES = (100, 500)
@@ -123,15 +128,6 @@ class SolveResult:
         return out
 
 
-def _mask_of(indices: Iterable[int], n: int) -> int:
-    mask = 0
-    for i in indices:
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for n={n}")
-        mask |= 1 << int(i)
-    return mask
-
-
 def _expand_pass(oracle: FeasibilityOracle, mask: int) -> int:
     """One candidate scan in index order, keeping each addition that stays feasible."""
     for c in range(oracle.n):
@@ -155,11 +151,11 @@ def local_expansion(
     """
     if oracle is None:
         oracle = FeasibilityOracle(dataset, epsilon)
-    mask = _mask_of(inliers, oracle.n)
+    mask = as_mask(inliers, oracle.n)
     if oracle(mask) != 0:
         raise ContractError("local_expansion requires a feasible inlier set")
     mask = _expand_pass(oracle, mask)
-    return tuple(int(i) for i in _mask_rows(mask, oracle.n))
+    return tuple(int(i) for i in mask_rows(mask, oracle.n))
 
 
 def _verify_feasible(dataset: LinearDataset, inliers: tuple[int, ...], epsilon: float):
@@ -186,7 +182,7 @@ def _influence_loop(dataset: LinearDataset, config: SolverConfig, kind: str) -> 
     fits = 0
     exhausted = False
     while mask.bit_count() > p:
-        idx = tuple(int(i) for i in _mask_rows(mask, n))
+        idx = tuple(int(i) for i in mask_rows(mask, n))
         fit = minimax_fit(dataset, idx)
         fits += 1
         if fit.value <= eps:
@@ -194,38 +190,33 @@ def _influence_loop(dataset: LinearDataset, config: SolverConfig, kind: str) -> 
         if config.time_budget is not None and time.perf_counter() - t0 > config.time_budget:
             # out of time: fall back to the consensus of the current fit
             exhausted = True
-            keep = np.flatnonzero(residuals(dataset, fit.theta) <= eps)
-            mask = _mask_of((int(i) for i in keep), n)
+            mask = flags_mask(residuals(dataset, fit.theta) <= eps)
             break
-        sub = RestrictedFunction(oracle, idx)
-        pos_of = {d: j for j, d in enumerate(idx)}
-        positions = [pos_of[b] for b in fit.active_set]
         iter_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(iterations,))
         if kind == "wi":
             report = estimate_influence_bernoulli(
-                sub, positions, q, config.samples, iter_seed,
-                mode=config.estimator_mode, workers=config.workers,
+                oracle, fit.active_set, q, config.samples, iter_seed,
+                mode=config.estimator_mode, workers=config.workers, support=idx,
             )
             scores = report.scores
         else:
-            m = len(idx)
-            level = min(p + 1 + config.hamming_level_offset, m - 1)
+            level = min(p + 1 + config.hamming_level_offset, len(idx) - 1)
             if level < p + 1:
-                scores = {pos: 0.0 for pos in positions}
+                scores = {i: 0.0 for i in fit.active_set}
             else:
                 report = estimate_influence_hamming(
-                    sub, positions, level, config.samples, iter_seed,
-                    workers=config.workers,
+                    oracle, fit.active_set, level, config.samples, iter_seed,
+                    workers=config.workers, support=idx,
                 )
                 scores = report.scores
-        victim_pos = min(positions, key=lambda t: (-scores[t], t))
-        mask &= ~(1 << idx[victim_pos])
+        victim = min(fit.active_set, key=lambda t: (-scores[t], t))
+        mask &= ~(1 << victim)
         iterations += 1
         if config.local_expansion == "per_iteration":
             mask = _expand_pass(oracle, mask)
     if config.local_expansion != "off" and not exhausted:
         mask = _expand_pass(oracle, mask)
-    inliers = tuple(int(i) for i in _mask_rows(mask, n))
+    inliers = tuple(int(i) for i in mask_rows(mask, n))
     fit = _verify_feasible(dataset, inliers, eps)
     runtime = time.perf_counter() - t0
     return SolveResult(

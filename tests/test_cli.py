@@ -93,6 +93,19 @@ def test_influence_exact_and_estimated(tmp_path, capsys):
     assert [e["index"] for e in est["scores"]] == [0, 3, 5]
 
 
+def test_hamming_influence_without_level_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "line.csv"
+    run_cli(["gen", "--n", "8", "--dim", "2", "--seed", "1", "--out", str(data)], capsys)
+    code, out, err = run_cli(
+        ["influence", "--data", str(data), "--eps", "0.1", "--estimator", "hamming"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert "--level" in error["message"]
+
+
 def test_theory_verify_spec_file(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n": 8, "p": 2, "zeros": ["10001101", "00111111"]}))

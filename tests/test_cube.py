@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from maxcon import cube
 from maxcon.cube import (
     BernoulliMeasure,
-    RestrictedFunction,
     TabulatedFunction,
     Vertex,
+    as_mask,
     estimate_influence_bernoulli,
     estimate_influence_hamming,
     exact_fourier_first_order,
@@ -216,13 +216,13 @@ def test_upward_closure_is_monotone(n, data):
         assert tbl[g] == 1
 
 
-def test_restricted_function_maps_indices():
-    f = Dictator(6)  # sensitive to parent index 0 only
-    sub = RestrictedFunction(f, (2, 0, 4))
-    # restricted bit 1 maps to parent bit 0
-    assert sub.n == 3
-    assert sub(0b010) == 1
-    assert sub(0b101) == 0
+def test_masks_from_numpy_indices_keep_high_bits():
+    idx = np.array([0, 70, 150])
+    want = (1 << 0) | (1 << 70) | (1 << 150)
+    assert as_mask(idx, 200) == want
+    assert Vertex.from_indices(idx, 200).bits == want
+    assert cube.mask_rows(want, 200).tolist() == [0, 70, 150]
+    assert cube.flags_mask(np.isin(np.arange(200), idx)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,53 @@ def test_hamming_estimator_matches_exhaustive_counts():
         assert flip_profile(f, i)[4] > 0
         rep = estimate_influence_hamming(f, [i], 4, 64, seed=5)
         assert rep.scores[i] > 0.0
+
+
+class _Restriction:
+    """Reference restriction of f to the sub-cube of ``support``, in its own coordinates.
+
+    Component j of the restricted cube is parent index ``support[j]``; every
+    other parent component is fixed to 0.
+    """
+
+    def __init__(self, f, support):
+        self.f, self.support, self.n = f, support, len(support)
+
+    def __call__(self, bits):
+        expanded = 0
+        rest = bits
+        while rest:
+            low = rest & -rest
+            expanded |= 1 << self.support[low.bit_length() - 1]
+            rest ^= low
+        return self.f(expanded)
+
+
+def test_support_matches_reference_restriction():
+    # minimal 1-sets {1,2,4}, {4,6,7}, {2,6} inside the support, {0,3} outside it
+    f = TabulatedFunction(upward_closure_table(9, [0b10110, 0b11010000, 0b1000100, 0b1001]), 9)
+    support = (1, 2, 4, 6, 7)
+    sub = _Restriction(f, support)
+    local = range(len(support))
+
+    def parent_keys(report):
+        return {support[j]: v for j, v in report.scores.items()}
+
+    for mode in ("paper", "unbiased"):
+        got = estimate_influence_bernoulli(f, support, 0.3, 80, seed=11, mode=mode, support=support)
+        ref = estimate_influence_bernoulli(sub, local, 0.3, 80, seed=11, mode=mode)
+        assert got.scores == parent_keys(ref)
+        assert any(ref.scores.values())
+    got = estimate_influence_hamming(f, support, 3, 60, seed=11, support=support)
+    ref = estimate_influence_hamming(sub, local, 3, 60, seed=11)
+    assert got.scores == parent_keys(ref)
+    assert any(ref.scores.values())
+    with pytest.raises(IndexError):
+        estimate_influence_bernoulli(f, [3], 0.3, 80, seed=11, support=support)
+    with pytest.raises(IndexError):
+        estimate_influence_hamming(f, [3], 3, 60, seed=11, support=support)
+    with pytest.raises(ValueError):
+        estimate_influence_bernoulli(f, [2], 0.3, 80, seed=11, support=(2, 1))
 
 
 def test_estimators_independent_of_worker_count():

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from maxcon.cube import TabulatedFunction, Vertex
+from maxcon.cube import TabulatedFunction, Vertex, mask_rows
 from maxcon.datagen import GenSpec, gen_hyperplane_data
 from maxcon.errors import BudgetError, ContractError
 from maxcon.models import (
@@ -13,11 +13,9 @@ from maxcon.models import (
     _chebyshev_combos,
     _chebyshev_lp,
     _exchange_feasibility,
-    _mask_rows,
     basis,
     exact_maxcon_bases,
     exact_maxcon_enumerate,
-    feasibility,
     load_dataset_csv,
     minimax_fit,
     residual,
@@ -206,9 +204,32 @@ def test_basis_contains_planted_outlier():
 
 def test_feasibility_examples():
     ds = three_point_dataset()
-    assert feasibility(FeasibilityOracle(ds, 0.6), 0b111) == 0
-    assert feasibility(FeasibilityOracle(ds, 0.4), 0b111) == 1
-    assert feasibility(FeasibilityOracle(ds, 0.4), 0) == 0
+    assert FeasibilityOracle(ds, 0.6)(0b111) == 0
+    assert FeasibilityOracle(ds, 0.4)(0b111) == 1
+    assert FeasibilityOracle(ds, 0.4)(0) == 0
+
+
+def test_oracle_accepts_numpy_indices_beyond_int64():
+    # every point on the line y = 0 except point 150
+    x = np.linspace(0.0, 1.0, 200)
+    ds = LinearDataset(np.column_stack([x, np.ones(200)]), (np.arange(200) == 150).astype(float))
+    oracle = FeasibilityOracle(ds, 0.1)
+    assert oracle(np.array([3, 5, 70, 150])) == 1
+    assert oracle(np.array([3, 5, 70, 149])) == 0
+
+
+def test_oracle_all_masks_match_truth_table_and_cover_masks():
+    data = gen_hyperplane_data(GenSpec(n=12, dim=2, outlier_count=4, seed=9))
+    ds = data.dataset
+    oracle = FeasibilityOracle(ds, 0.1)
+    masks = np.random.default_rng(3).permutation(1 << 12)
+    got = np.array([oracle(int(m)) for m in masks], dtype=np.uint8)
+    assert np.array_equal(got, oracle.truth_table()[masks])
+    assert oracle._thetas
+    for coverage, cover, theta in oracle._thetas:
+        within = np.flatnonzero(np.abs(ds.features @ theta - ds.responses) <= 0.1)
+        assert cover == Vertex.from_indices(within, 12).bits
+        assert coverage == cover.bit_count()
 
 
 def test_oracle_counts_and_counter_reset():
@@ -240,7 +261,7 @@ def test_oracle_truth_table_matches_direct_lp():
     ds = data.dataset
     table = FeasibilityOracle(ds, 0.1).truth_table()
     for mask in range(1 << 10):
-        rows = _mask_rows(mask, 10)
+        rows = mask_rows(mask, 10)
         if len(rows) <= 2:
             want = 0
         else:
