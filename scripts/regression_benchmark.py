@@ -14,8 +14,7 @@ from pathlib import Path
 
 from maxcon.datagen import GenSpec, gen_hyperplane_data
 from maxcon.errors import BudgetError
-from maxcon.models import exact_maxcon_bases
-from maxcon.solvers import SolverConfig, lo_ransac, mbf_maxcon, ransac, wi_maxcon
+from maxcon.solvers import solve
 
 
 def main():
@@ -39,17 +38,15 @@ def main():
                 GenSpec(n=args.n, dim=args.dim, outlier_count=n_out, seed=seed)
             )
             try:
-                truth = len(exact_maxcon_bases(data.dataset, args.eps)[0])
+                truth = solve(data.dataset, "exact", args.eps).consensus_size
             except BudgetError:
                 truth = None
-            cfg = SolverConfig(epsilon=args.eps, q=args.q, samples=args.samples, seed=seed)
-            wi = wi_maxcon(data.dataset, cfg)
-            budget = {"iterations": wi.oracle_evaluations}
-            runs = [
-                wi,
-                mbf_maxcon(data.dataset, cfg),
-                lo_ransac(data.dataset, args.eps, budget, seed),
-                ransac(data.dataset, args.eps, budget, seed),
+            opts = {"q": args.q, "samples": args.samples}
+            wi = solve(data.dataset, "wi", args.eps, seed, **opts)
+            opts["budget"] = {"iterations": wi.oracle_evaluations}
+            runs = [wi] + [
+                solve(data.dataset, method, args.eps, seed, **opts)
+                for method in ("mbf", "lo-ransac", "ransac")
             ]
             for res in runs:
                 rows.append(

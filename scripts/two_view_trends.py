@@ -2,8 +2,10 @@
 """Solver comparison on synthetic two-view instances (epipolar / homography).
 
 Generates correspondences with controlled algebraic residuals against a
-planted matrix, linearises them, and compares the influence-guided solver
-against the RANSAC baselines at matched evaluation budgets.
+planted matrix (the two-view generators of ``maxcon.datagen``: inliers within
+0.8 eps, outliers beyond 10 eps), linearises them, and compares the
+influence-guided solver against the RANSAC baselines at matched evaluation
+budgets.
 """
 
 import argparse
@@ -12,54 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from maxcon.ingest import CorrespondenceSet, linearise_fundamental, linearise_homography
-from maxcon.solvers import SolverConfig, lo_ransac, ransac, wi_maxcon
-
-
-def fm_instance(seed, matches, outliers, eps):
-    rng = np.random.default_rng(seed)
-    F = rng.uniform(-1, 1, (3, 3))
-    F /= F[2, 2]
-    deltas = rng.uniform(-0.9 * eps, 0.9 * eps, matches)
-    out_idx = rng.choice(matches, outliers, replace=False)
-    mag = 1.0 - rng.uniform(0, 1.0 - 1.5 * eps, outliers)
-    deltas[out_idx] = (rng.integers(0, 2, outliers) * 2 - 1) * mag
-    rows = []
-    while len(rows) < matches:
-        p2 = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0])
-        line = F @ p2
-        if abs(line[1]) < 1e-3:
-            continue
-        x1 = rng.uniform(-2, 2)
-        y1 = -(line[0] * x1 + line[2]) / line[1]
-        if abs(y1) > 50:
-            continue
-        p1 = np.array([x1, y1, 1.0])
-        p1[:2] += deltas[len(rows)] * line[:2] / (line[0] ** 2 + line[1] ** 2)
-        rows.append([p1[0], p1[1], p2[0], p2[1]])
-    return linearise_fundamental(CorrespondenceSet(np.array(rows)))
-
-
-def h_instance(seed, matches, outliers, eps):
-    rng = np.random.default_rng(seed)
-    H = np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3))
-    H /= H[2, 2]
-    src = rng.uniform(-2, 2, (matches, 2))
-    out_idx = set(int(i) for i in rng.choice(matches, outliers, replace=False))
-    rows = []
-    for j, (x, y) in enumerate(src):
-        t = H @ np.array([x, y, 1.0])
-        w = t[2]
-        u, v = t[0] / w, t[1] / w
-        if j in out_idx:
-            du, dv = (
-                (rng.integers(0, 2) * 2 - 1) * (5.0 - rng.uniform(0, 5.0 - 2 * eps)) / w
-                for _ in range(2)
-            )
-        else:
-            du, dv = rng.uniform(-0.8 * eps, 0.8 * eps, 2) / w
-        rows.append([x, y, u + du, v + dv])
-    return linearise_homography(CorrespondenceSet(np.array(rows)))
+from maxcon.datagen import synthetic_fm_instance, synthetic_h_instance
+from maxcon.solvers import solve
 
 
 def main():
@@ -75,15 +31,15 @@ def main():
     ap.add_argument("--out", default="two_view_trends.csv")
     args = ap.parse_args()
 
-    make = fm_instance if args.model == "fundamental" else h_instance
+    make = synthetic_fm_instance if args.model == "fundamental" else synthetic_h_instance
     eps = args.eps if args.eps is not None else (0.02 if args.model == "fundamental" else 0.1)
     rows = []
     for rep in range(args.repetitions):
         dataset = make(args.seed + rep, args.matches, args.outliers, eps)
-        cfg = SolverConfig(epsilon=eps, q=args.q, samples=args.samples, seed=rep)
-        wi = wi_maxcon(dataset, cfg)
-        budget = {"iterations": wi.oracle_evaluations}
-        for res in (wi, lo_ransac(dataset, eps, budget, rep), ransac(dataset, eps, budget, rep)):
+        opts = {"q": args.q, "samples": args.samples}
+        wi = solve(dataset, "wi", eps, rep, **opts)
+        opts["budget"] = {"iterations": wi.oracle_evaluations}
+        for res in [wi] + [solve(dataset, m, eps, rep, **opts) for m in ("lo-ransac", "ransac")]:
             rows.append(
                 {
                     "repetition": rep,

@@ -48,6 +48,7 @@ from .solvers import (
     local_expansion,
     mbf_maxcon,
     ransac,
+    solve,
     wi_maxcon,
 )
 from .theory import (

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen, fit, influence, theory, experiment, ingest-fm, ingest-h.
-Failures exit nonzero with a one-line JSON error object on stderr.  The
-environment variable MAXCON_WORKERS sets the default parallelism level.
+Failures exit nonzero with a one-line JSON error object on stderr.  ``fit``
+maps its flags onto ``solvers.solve``; every computation runs in one thread.
 """
 
 from __future__ import annotations
@@ -89,47 +89,17 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fit(args) -> int:
     dataset = models.load_dataset_csv(args.data)
-    if args.method in ("wi", "mbf"):
-        cfg = solvers.SolverConfig(
-            epsilon=args.eps,
-            q=args.q,
-            samples=args.samples,
-            hamming_level_offset=args.level_offset,
-            local_expansion=args.local_expansion,
-            estimator_mode=args.mode,
-            seed=args.seed,
-            time_budget=args.time_budget,
-            allow_extreme=args.allow_extreme,
-        )
-        result = solvers.wi_maxcon(dataset, cfg) if args.method == "wi" else solvers.mbf_maxcon(dataset, cfg)
-    elif args.method in ("ransac", "lo-ransac"):
-        budget = solvers.RansacBudget(
-            iterations=args.iterations,
-            time=args.time_budget,
-            confidence=None if args.iterations is not None else args.confidence,
-        )
-        if args.method == "ransac":
-            result = solvers.ransac(dataset, args.eps, budget, args.seed)
-        else:
-            result = solvers.lo_ransac(dataset, args.eps, budget, args.seed)
-    elif args.method == "exact":
-        import time
-
-        t0 = time.perf_counter()
-        inliers, theta = models.exact_maxcon_bases(dataset, args.eps)
-        result = solvers.SolveResult(
-            method="exact",
-            inlier_set=inliers,
-            theta=theta.theta,
-            consensus_size=len(inliers),
-            iterations=0,
-            oracle_evaluations=0,
-            runtime=time.perf_counter() - t0,
-            seed=None,
-            config={"epsilon": args.eps},
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {args.method}")
+    budget = {
+        "iterations": args.iterations,
+        "time": args.time_budget,
+        "confidence": None if args.iterations is not None else args.confidence,
+    }
+    result = solvers.solve(
+        dataset, args.method, args.eps, args.seed, budget=budget,
+        q=args.q, samples=args.samples, hamming_level_offset=args.level_offset,
+        local_expansion=args.local_expansion, estimator_mode=args.mode,
+        time_budget=args.time_budget, allow_extreme=args.allow_extreme,
+    )
     payload = result.to_json_dict()
     if args.paired_rows:
         if dataset.n % 2:
@@ -155,12 +125,10 @@ def _cmd_influence(args) -> int:
         report = cube.exact_influence_report(f, args.q, indices)
     elif args.estimator == "bernoulli":
         report = cube.estimate_influence_bernoulli(
-            f, indices, args.q, args.samples, args.seed, mode=args.mode, workers=args.workers
+            f, indices, args.q, args.samples, args.seed, mode=args.mode
         )
     else:
-        report = cube.estimate_influence_hamming(
-            f, indices, args.level, args.samples, args.seed, workers=args.workers
-        )
+        report = cube.estimate_influence_hamming(f, indices, args.level, args.samples, args.seed)
     _write_json(report.to_json_dict(), args.out)
     return 0
 
@@ -243,7 +211,7 @@ def build_parser() -> JsonArgumentParser:
     f = sub.add_parser("fit", help="solve one instance with a chosen method")
     f.add_argument("--data", required=True)
     f.add_argument("--eps", type=float, required=True)
-    f.add_argument("--method", choices=["wi", "mbf", "ransac", "lo-ransac", "exact"], required=True)
+    f.add_argument("--method", choices=solvers.METHODS, required=True)
     f.add_argument("--q", type=float, default=None)
     f.add_argument("--samples", type=int, default=300)
     f.add_argument("--seed", type=int, default=0)
@@ -269,7 +237,8 @@ def build_parser() -> JsonArgumentParser:
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--mode", choices=["paper", "unbiased"], default="paper")
     i.add_argument("--indices", default="all")
-    i.add_argument("--workers", type=int, default=None)
+    i.add_argument("--workers", type=int, default=None,
+                   help="deprecated and ignored; indices are scored in order")
     i.add_argument("--tabulate", action="store_true",
                    help="precompute the full truth table before estimating")
     i.add_argument("--out", default=None)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,22 +26,6 @@ from .errors import BudgetError
 
 # Exhaustive 2**n work is refused above this dimension.
 ENUMERATION_CAP = 22
-
-WORKERS_ENV_VAR = "MAXCON_WORKERS"
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Resolve a worker count, falling back to the environment default."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
 
 # --------------------------------------------------------------------------
 # Vertices
@@ -436,14 +418,6 @@ def exact_influence_report(
     )
 
 
-def _map_indices(fn, indices, workers):
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or len(indices) <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(fn, indices))
-
-
 def _flip_value(f, bits: int, fb: int, i: int) -> int:
     """f at the i-flip of bits, using monotonicity to skip implied calls.
 
@@ -495,8 +469,9 @@ def estimate_influence_bernoulli(
     coefficient before the final -1/sqrt(q(1-q)) scaling.
 
     Each index consumes an independent substream derived from (seed, position
-    of the index in the support), so results are identical for any worker
-    count, and on the whole cube the position is the index itself.
+    of the index in the support), and on the whole cube the position is the
+    index itself.  Indices are scored in order; ``workers`` is deprecated and
+    ignored.
     """
     _check_q(q)
     if h < 2:
@@ -534,7 +509,7 @@ def estimate_influence_bernoulli(
                 acc += fb * chi_b + fc * chi_c
         return i, (scale * acc) + 0.0
 
-    scores = dict(_map_indices(one_index, list(indices), workers))
+    scores = dict(map(one_index, indices))
     base_seed = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     return InfluenceReport(
         measure="bernoulli",
@@ -564,7 +539,8 @@ def estimate_influence_hamming(
     substream of (seed, position of the index in the support).  Scores are
     left unnormalised (fractions of h rather than slice measures) since only
     their relative order is consumed.  Flips cross to level k-1 or k+1
-    depending on the sampled bit.
+    depending on the sampled bit.  Indices are scored in order; ``workers``
+    is deprecated and ignored.
     """
     n = f.n
     sup, positions = _support_positions(n, support)
@@ -586,7 +562,7 @@ def estimate_influence_hamming(
                 hits += 1
         return i, hits / h
 
-    scores = dict(_map_indices(one_index, list(indices), workers))
+    scores = dict(map(one_index, indices))
     base_seed = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     return InfluenceReport(
         measure="hamming", q_or_level=int(k), h=h, seed=base_seed, scores=scores, n=n

@@ -5,6 +5,10 @@ appended for the intercept.  Inlier responses are perturbed by uniform noise
 in [-w, w]; outlier responses by uniform noise from the annulus
 [-hi, -lo) u (lo, hi], so every outlier's residual against the ground truth
 exceeds the inlier band.
+
+Two-view instances plant a fundamental matrix or a homography, perturb the
+correspondences by controlled algebraic residuals and return the linearised
+dataset.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .ingest import CorrespondenceSet, linearise_fundamental, linearise_homography
 from .models import LinearDataset
 
 FEATURE_BOX = (-5.0, 5.0)
@@ -169,3 +174,61 @@ def gen_multistructure_data(
 
     dataset = LinearDataset(np.vstack(blocks), np.concatenate(responses))
     return MultiStructureData(dataset, tuple(inlier_sets), tuple(thetas), gross_idx)
+
+
+def synthetic_fm_instance(seed: int, matches: int = 40, outliers: int = 12, eps: float = 0.02):
+    """Epipolar correspondences with controlled algebraic residuals.
+
+    Inliers carry residual at most 0.8*eps against the planted matrix;
+    outliers are gross, at least 10*eps, as mismatches tend to be.  Returns
+    the linearised dataset.
+    """
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(-1, 1, (3, 3))
+    F /= F[2, 2]
+    deltas = rng.uniform(-0.8 * eps, 0.8 * eps, matches)
+    out_idx = rng.choice(matches, outliers, replace=False)
+    mag = 1.0 - rng.uniform(0, 1.0 - 10.0 * eps, outliers)
+    deltas[out_idx] = (rng.integers(0, 2, outliers) * 2 - 1) * mag
+    rows = []
+    while len(rows) < matches:
+        p2 = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0])
+        line = F @ p2
+        if abs(line[1]) < 1e-3:
+            continue
+        x1 = rng.uniform(-2, 2)
+        y1 = -(line[0] * x1 + line[2]) / line[1]
+        if abs(y1) > 50:
+            continue
+        p1 = np.array([x1, y1, 1.0])
+        p1[:2] += deltas[len(rows)] * line[:2] / (line[0] ** 2 + line[1] ** 2)
+        rows.append([p1[0], p1[1], p2[0], p2[1]])
+    return linearise_fundamental(CorrespondenceSet(np.array(rows)))
+
+
+def synthetic_h_instance(seed: int, matches: int = 24, outliers: int = 6, eps: float = 0.1):
+    """Homography correspondences with controlled per-row residuals.
+
+    Inlier rows carry residual at most 0.8*eps against the planted matrix;
+    corrupted matches are gross, at least 10*eps on both rows.  Returns the
+    linearised (doubled-row) dataset.
+    """
+    rng = np.random.default_rng(seed)
+    H = np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3))
+    H /= H[2, 2]
+    src = rng.uniform(-2, 2, (matches, 2))
+    out_idx = set(int(i) for i in rng.choice(matches, outliers, replace=False))
+    rows = []
+    for j, (x, y) in enumerate(src):
+        t = H @ np.array([x, y, 1.0])
+        w = t[2]
+        u, v = t[0] / w, t[1] / w
+        if j in out_idx:
+            du, dv = (
+                (rng.integers(0, 2) * 2 - 1) * (5.0 - rng.uniform(0, 5.0 - 10 * eps)) / w
+                for _ in range(2)
+            )
+        else:
+            du, dv = rng.uniform(-0.8 * eps, 0.8 * eps, 2) / w
+        rows.append([x, y, u + du, v + dv])
+    return linearise_homography(CorrespondenceSet(np.array(rows)))

@@ -6,28 +6,21 @@ earlier method's oracle-evaluation count) or a grid of (q, h) estimator
 settings whose sampled influence rankings are scored against the exact
 ranking by Spearman-Footrule distance.
 
-Repetitions own derived seeds and may run in parallel; rows are always
-written in repetition order, so re-running a config reproduces identical
-consensus numbers (runtime fields excepted).
+Repetitions own derived seeds and run in order, so re-running a config
+reproduces identical consensus numbers (runtime fields excepted).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .cube import (
-    TabulatedFunction,
-    estimate_influence_bernoulli,
-    exact_influence_report,
-    resolve_workers,
-)
+from .cube import TabulatedFunction, estimate_influence_bernoulli, exact_influence_report
 from .datagen import GenSpec, gen_hyperplane_data
 from .errors import ContractError
 from .ingest import linearise_fundamental, linearise_homography, load_correspondences_csv
@@ -38,7 +31,7 @@ from .models import (
     exact_maxcon_enumerate,
     load_dataset_csv,
 )
-from .solvers import RansacBudget, SolveResult, SolverConfig, lo_ransac, mbf_maxcon, ransac, wi_maxcon
+from .solvers import SolveResult, solve
 
 _GEN_KEYS = (
     "n",
@@ -51,6 +44,13 @@ _GEN_KEYS = (
     "ground_truth_theta",
     "theta_range",
 )
+
+# method-spec keys of a config and the SolverConfig fields they set
+_SPEC_OPTIONS = {
+    "q": "q", "samples": "samples", "level_offset": "hamming_level_offset",
+    "local_expansion": "local_expansion", "mode": "estimator_mode",
+    "time_budget": "time_budget", "workers": "workers", "allow_extreme": "allow_extreme",
+}
 
 
 @dataclass
@@ -139,55 +139,20 @@ def _run_method(
     rep_seed: int,
     earlier: dict[str, SolveResult],
 ) -> SolveResult:
-    name = spec["name"]
-    params = {k: v for k, v in spec.items() if k != "name"}
-    if name in ("wi", "mbf"):
-        cfg = SolverConfig(
-            epsilon=epsilon,
-            q=params.get("q"),
-            samples=params.get("samples", 300),
-            hamming_level_offset=params.get("level_offset", 1),
-            local_expansion=params.get("local_expansion", "post_loop"),
-            estimator_mode=params.get("mode", "paper"),
-            seed=rep_seed,
-            time_budget=params.get("time_budget"),
-            workers=params.get("workers"),
-            allow_extreme=params.get("allow_extreme", False),
-        )
-        return wi_maxcon(dataset, cfg) if name == "wi" else mbf_maxcon(dataset, cfg)
-    if name in ("ransac", "lo-ransac"):
-        budget = dict(params.get("budget", {"confidence": 0.99}))
-        match = budget.pop("match", None)
-        if match is not None:
-            ref = earlier.get(match)
-            if ref is None:
-                raise ContractError(
-                    f"budget matches {match!r} but no such method ran earlier in this repetition"
-                )
-            budget["iterations"] = ref.oracle_evaluations
-        rb = RansacBudget(**budget)
-        if name == "ransac":
-            return ransac(dataset, epsilon, rb, rep_seed)
-        return lo_ransac(
-            dataset, epsilon, rb, rep_seed, refinement_depth=params.get("refinement_depth", 2)
-        )
-    if name == "exact":
-        import time as _time
-
-        t0 = _time.perf_counter()
-        inliers, theta = exact_maxcon_bases(dataset, epsilon)
-        return SolveResult(
-            method="exact",
-            inlier_set=inliers,
-            theta=theta.theta,
-            consensus_size=len(inliers),
-            iterations=0,
-            oracle_evaluations=0,
-            runtime=_time.perf_counter() - t0,
-            seed=None,
-            config={"epsilon": epsilon},
-        )
-    raise ValueError(f"unknown method {name!r}")
+    budget = dict(spec.get("budget", {"confidence": 0.99}))
+    match = budget.pop("match", None)
+    if match is not None:
+        ref = earlier.get(match)
+        if ref is None:
+            raise ContractError(
+                f"budget matches {match!r} but no such method ran earlier in this repetition"
+            )
+        budget["iterations"] = ref.oracle_evaluations
+    options = {_SPEC_OPTIONS[k]: v for k, v in spec.items() if k in _SPEC_OPTIONS}
+    return solve(
+        dataset, spec["name"], epsilon, rep_seed, budget=budget,
+        refinement_depth=spec.get("refinement_depth", 2), **options,
+    )
 
 
 def _one_repetition(config: ExperimentConfig, rep: int) -> list[dict]:
@@ -212,14 +177,7 @@ def _one_repetition(config: ExperimentConfig, rep: int) -> list[dict]:
 
 
 def _solver_comparison(config: ExperimentConfig) -> ExperimentReport:
-    workers = resolve_workers(None)
-    reps = range(config.repetitions)
-    if workers > 1 and config.repetitions > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(lambda r: _one_repetition(config, r), reps))
-    else:
-        per_rep = [_one_repetition(config, r) for r in reps]
-    rows = [row for rep_rows in per_rep for row in rep_rows]
+    rows = [row for rep in range(config.repetitions) for row in _one_repetition(config, rep)]
 
     summary = []
     for name in dict.fromkeys(spec["name"] for spec in config.methods):

@@ -35,6 +35,10 @@ ACTIVE_SET_RTOL = 1e-8
 # Default refusal threshold for enumerating all (p+1)-subsets.
 DEFAULT_MAX_BASES = 200_000
 
+# Feasibility oracle certificate caches: parameter vectors kept, cores kept.
+THETA_CACHE_SIZE = 24
+WITNESS_CACHE_SIZE = 128
+
 
 # --------------------------------------------------------------------------
 # Domain types
@@ -360,23 +364,15 @@ class FeasibilityOracle:
     Concurrent queries are permitted; counters are updated under a lock.
     """
 
-    def __init__(
-        self,
-        dataset: LinearDataset,
-        epsilon: float,
-        cache: bool = True,
-        theta_cache_size: int = 24,
-        witness_cache_size: int = 128,
-    ) -> None:
+    def __init__(self, dataset: LinearDataset, epsilon: float) -> None:
         if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.dataset = dataset
         self.epsilon = float(epsilon)
-        self._memo: dict[int, int] | None = {} if cache else None
-        self._theta_cache_size = theta_cache_size
+        self._memo: dict[int, int] = {}
         # (coverage, cover mask, theta), best first
         self._thetas: list[tuple[int, int, np.ndarray]] = []
-        self._witnesses: deque[int] = deque(maxlen=witness_cache_size)
+        self._witnesses: deque[int] = deque(maxlen=WITNESS_CACHE_SIZE)
         self._lock = threading.Lock()
         self._evals = 0
         self._lp_solves = 0
@@ -417,18 +413,17 @@ class FeasibilityOracle:
             self._evals += 1
         if mask.bit_count() <= self.p:
             return 0
-        if self._memo is not None:
-            hit = self._memo.get(mask)
-            if hit is not None:
-                return hit
+        hit = self._memo.get(mask)
+        if hit is not None:
+            return hit
         for w in tuple(self._witnesses):
             if w & mask == w:
-                self._remember(mask, 1)
+                self._memo[mask] = 1
                 return 1
         thetas = tuple(self._thetas)
         for _, cover, _ in thetas:
             if mask & ~cover == 0:
-                self._remember(mask, 0)
+                self._memo[mask] = 0
                 return 0
         rows = mask_rows(mask, self.n)
         A = self.dataset.features[rows]
@@ -439,11 +434,11 @@ class FeasibilityOracle:
         verdict, evidence = _exchange_feasibility(A, y, self.epsilon, warm)
         if verdict == 1:
             self._witnesses.appendleft(as_mask(rows[evidence], self.n))
-            self._remember(mask, 1)
+            self._memo[mask] = 1
             return 1
         if verdict == 0:
             self._consider_theta(evidence, polish=False)
-            self._remember(mask, 0)
+            self._memo[mask] = 0
             return 0
         with self._lock:
             self._lp_solves += 1
@@ -453,16 +448,12 @@ class FeasibilityOracle:
             # coverage-polished variant gives up
             self._consider_theta(theta, polish=False)
             self._consider_theta(theta)
-            self._remember(mask, 0)
+            self._memo[mask] = 0
             return 0
         tau = ACTIVE_SET_RTOL * (1.0 + value)
         self._witnesses.appendleft(as_mask(rows[resid >= value - tau], self.n))
-        self._remember(mask, 1)
+        self._memo[mask] = 1
         return 1
-
-    def _remember(self, mask: int, bit: int) -> None:
-        if self._memo is not None:
-            self._memo[mask] = bit
 
     def _consider_theta(self, theta: np.ndarray, polish: bool = True) -> None:
         """Cache a feasibility certificate, ranked by dataset coverage.
@@ -476,7 +467,7 @@ class FeasibilityOracle:
         feats, resp = self.dataset.features, self.dataset.responses
         resid = np.abs(feats @ theta - resp)
         cov = int((resid <= self.epsilon).sum())
-        if len(self._thetas) >= self._theta_cache_size and cov < self._thetas[-1][0] - 5:
+        if len(self._thetas) >= THETA_CACHE_SIZE and cov < self._thetas[-1][0] - 5:
             return
         if polish:
             for _ in range(2):
@@ -500,11 +491,11 @@ class FeasibilityOracle:
                     theta, cov, resid = refit, c2, r2
         cover = flags_mask(resid <= self.epsilon)
         with self._lock:
-            if self._thetas and cov <= self._thetas[-1][0] and len(self._thetas) >= self._theta_cache_size:
+            if self._thetas and cov <= self._thetas[-1][0] and len(self._thetas) >= THETA_CACHE_SIZE:
                 return
             self._thetas.append((cov, cover, theta))
             self._thetas.sort(key=lambda e: -e[0])
-            del self._thetas[self._theta_cache_size :]
+            del self._thetas[THETA_CACHE_SIZE :]
 
     def truth_table(self, cap: int = cube.ENUMERATION_CAP) -> np.ndarray:
         """Exact truth table over all 2**n subsets.
@@ -530,32 +521,24 @@ class FeasibilityOracle:
 # --------------------------------------------------------------------------
 
 
-def exact_maxcon_bases(
-    dataset: LinearDataset, epsilon: float, max_bases: int = DEFAULT_MAX_BASES
-) -> tuple[tuple[int, ...], ModelParams]:
-    """Ground-truth consensus by enumerating every (p+1)-subset fit.
-
-    Each subset's minimax parameters are scored by their consensus over the
-    whole dataset; the largest consensus wins, ties broken by enumeration
-    order.  With n <= p + 1 the full index set is returned.
-    """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    n, p = dataset.n, dataset.p
-    if n <= p + 1:
-        fit = minimax_fit(dataset)
-        return tuple(range(n)), fit.theta
-    count = math.comb(n, p + 1)
+def _combinations(n: int, k: int, max_bases: int) -> np.ndarray:
+    """All k-subsets of range(n) as rows, refused above max_bases of them."""
+    count = math.comb(n, k)
     if count > max_bases:
         raise BudgetError(
             f"enumerating {count} candidate bases exceeds the cap of {max_bases}"
         )
-    combos = np.array(list(itertools.combinations(range(n), p + 1)), dtype=np.intp)
-    values, thetas = _chebyshev_combos(dataset.features, dataset.responses, combos)
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+
+
+def _best_consensus(
+    dataset: LinearDataset, epsilon: float, thetas: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Largest consensus among candidate parameter rows; the first one wins ties."""
     best_count = -1
     best_theta: np.ndarray | None = None
     chunk = 20_000
-    for lo in range(0, len(combos), chunk):
+    for lo in range(0, len(thetas), chunk):
         th = thetas[lo : lo + chunk]
         resid = np.abs(dataset.features @ th.T - dataset.responses[:, None])
         counts = (resid <= epsilon).sum(axis=0)
@@ -563,7 +546,39 @@ def exact_maxcon_bases(
         if counts[j] > best_count:
             best_count = int(counts[j])
             best_theta = th[j].copy()
-    inliers = np.flatnonzero(np.abs(dataset.features @ best_theta - dataset.responses) <= epsilon)
+    return best_count, best_theta
+
+
+def exact_maxcon_bases(
+    dataset: LinearDataset, epsilon: float, max_bases: int = DEFAULT_MAX_BASES
+) -> tuple[tuple[int, ...], ModelParams]:
+    """Ground-truth consensus by enumerating every (p+1)-subset fit.
+
+    Each subset's minimax parameters are scored by their consensus over the
+    whole dataset; the largest consensus wins, ties broken by enumeration
+    order.  With n <= p the full index set is returned, and with n = p + 1 it
+    is returned when feasible.  When no (p+1)-subset is feasible the optimum
+    has p points, and the least-squares fits through every p-subset (the
+    interpolants, in general position) are scored instead.
+    """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    n, p = dataset.n, dataset.p
+    feats, resp = dataset.features, dataset.responses
+    if n <= p + 1:
+        fit = minimax_fit(dataset)
+        if n <= p or fit.value <= epsilon:
+            return tuple(range(n)), fit.theta
+        best_count = 0
+    else:
+        combos = _combinations(n, p + 1, max_bases)
+        _, thetas = _chebyshev_combos(feats, resp, combos)
+        best_count, best_theta = _best_consensus(dataset, epsilon, thetas)
+    if best_count <= p:
+        combos = _combinations(n, p, max_bases)
+        interpolants = (np.linalg.pinv(feats[combos]) @ resp[combos][..., None])[..., 0]
+        _, best_theta = _best_consensus(dataset, epsilon, interpolants)
+    inliers = np.flatnonzero(np.abs(feats @ best_theta - resp) <= epsilon)
     return tuple(int(i) for i in inliers), ModelParams(best_theta)
 
 

@@ -10,7 +10,8 @@ influence estimates: biased product sampling ("wi") or uniform sampling on a
 fixed Hamming level slightly above the combinatorial dimension ("mbf").
 
 RANSAC and its locally-optimised variant serve as baselines, with
-iteration-, wall-clock- and confidence-based stopping.
+iteration-, wall-clock- and confidence-based stopping.  ``solve`` maps a
+method name to its solver; the exact baseline enumerates bases.
 """
 
 from __future__ import annotations
@@ -30,10 +31,17 @@ from .cube import (
     mask_rows,
 )
 from .errors import ContractError, SolverError
-from .models import FeasibilityOracle, LinearDataset, minimax_fit, residuals
+from .models import (
+    FeasibilityOracle,
+    LinearDataset,
+    exact_maxcon_bases,
+    minimax_fit,
+    residuals,
+)
 
 RECOMMENDED_Q_MAX = 0.4
 RECOMMENDED_SAMPLES = (100, 500)
+METHODS = ("wi", "mbf", "ransac", "lo-ransac", "exact")
 
 
 @dataclass
@@ -42,7 +50,9 @@ class SolverConfig:
 
     The recommended operating ranges ((p+1)/n <= q <= 0.4 and
     100 <= samples <= 500) are enforced unless ``allow_extreme`` is set.
-    ``q=None`` picks 0.3 clamped into the recommended range.
+    ``q=None`` picks 0.3 clamped into the recommended range.  ``workers`` is
+    deprecated and ignored: estimation runs in order, and the field is kept
+    so that existing configs and result JSON keep their keys.
     """
 
     epsilon: float
@@ -196,7 +206,7 @@ def _influence_loop(dataset: LinearDataset, config: SolverConfig, kind: str) -> 
         if kind == "wi":
             report = estimate_influence_bernoulli(
                 oracle, fit.active_set, q, config.samples, iter_seed,
-                mode=config.estimator_mode, workers=config.workers, support=idx,
+                mode=config.estimator_mode, support=idx,
             )
             scores = report.scores
         else:
@@ -205,8 +215,7 @@ def _influence_loop(dataset: LinearDataset, config: SolverConfig, kind: str) -> 
                 scores = {i: 0.0 for i in fit.active_set}
             else:
                 report = estimate_influence_hamming(
-                    oracle, fit.active_set, level, config.samples, iter_seed,
-                    workers=config.workers, support=idx,
+                    oracle, fit.active_set, level, config.samples, iter_seed, support=idx
                 )
                 scores = report.scores
         victim = min(fit.active_set, key=lambda t: (-scores[t], t))
@@ -386,3 +395,49 @@ def lo_ransac(
     return ransac(
         dataset, epsilon, budget, rng, refinement_depth=refinement_depth, _method="lo-ransac"
     )
+
+
+def solve(
+    dataset: LinearDataset,
+    method: str,
+    epsilon: float,
+    seed: int | None = 0,
+    *,
+    budget=None,
+    refinement_depth: int = 2,
+    **options,
+) -> SolveResult:
+    """Solve one instance with the named method: wi | mbf | ransac | lo-ransac | exact.
+
+    ``options`` are the ``SolverConfig`` fields of the influence-guided
+    methods beyond epsilon and seed; ``budget`` is the RANSAC stopping rule
+    (anything ``ransac`` accepts, 0.99 confidence by default) and
+    ``refinement_depth`` that of lo-RANSAC.  Each method ignores the
+    parameters of the others.  The exact baseline enumerates bases, reports
+    no seed and is verified like every other method.
+    """
+    # built for every method, so that a misspelt option fails alike for each
+    config = SolverConfig(epsilon=epsilon, seed=seed, **options)
+    if method in ("wi", "mbf"):
+        return _influence_loop(dataset, config, method)
+    if method in ("ransac", "lo-ransac"):
+        depth = refinement_depth if method == "lo-ransac" else 0
+        rule = budget if budget is not None else RansacBudget(confidence=0.99)
+        return ransac(dataset, epsilon, rule, seed, refinement_depth=depth, _method=method)
+    if method == "exact":
+        t0 = time.perf_counter()
+        inliers, theta = exact_maxcon_bases(dataset, epsilon)
+        if inliers:
+            _verify_feasible(dataset, inliers, epsilon)
+        return SolveResult(
+            method="exact",
+            inlier_set=inliers,
+            theta=theta.theta,
+            consensus_size=len(inliers),
+            iterations=0,
+            oracle_evaluations=0,
+            runtime=time.perf_counter() - t0,
+            seed=None,
+            config={"epsilon": epsilon},
+        )
+    raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")

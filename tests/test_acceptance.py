@@ -20,12 +20,17 @@ from maxcon.cube import (
     level_table,
     level_weights,
 )
-from maxcon.datagen import GenSpec, gen_hyperplane_data
+from maxcon.datagen import (
+    GenSpec,
+    gen_hyperplane_data,
+    synthetic_fm_instance,
+    synthetic_h_instance,
+)
 from maxcon.experiment import ExperimentConfig, influence_sweep_rows
 from maxcon.models import FeasibilityOracle, exact_maxcon_bases, minimax_fit
 from maxcon.solvers import SolverConfig, lo_ransac, local_expansion, ransac, wi_maxcon
 
-from util import random_monotone_function, synthetic_fm_instance, synthetic_h_instance
+from util import random_monotone_function
 
 RATIONAL_QS = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
 

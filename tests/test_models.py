@@ -325,6 +325,17 @@ def test_exact_maxcon_tie_break_first_enumeration():
     assert inliers == (0, 1)
 
 
+def test_exact_maxcon_without_feasible_basis_keeps_p_points():
+    # no three of these points fit a line within eps, so the optimum has two:
+    # first with n = p + 1 (the full set is infeasible), then with n > p + 1
+    for ys in ([0.0, 5.0, 0.0], [0.0, 5.0, 0.0, 5.0]):
+        ds = LinearDataset(np.column_stack([np.ones(len(ys)), np.arange(len(ys))]), np.array(ys))
+        inliers, theta = exact_maxcon_bases(ds, 0.1)
+        assert len(inliers) == len(exact_maxcon_enumerate(FeasibilityOracle(ds, 0.1))) == 2
+        resid = np.abs(ds.features[list(inliers)] @ theta.theta - ds.responses[list(inliers)])
+        assert np.all(resid <= 0.1)
+
+
 def test_enumerate_structured_toy():
     zeros = tuple(
         Vertex.from_string(s) for s in ("00111111", "10001101", "01100010", "11010000")

@@ -1,18 +1,29 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from maxcon.cli import main
 from maxcon.datagen import GenSpec, gen_hyperplane_data, gen_multistructure_data
 from maxcon.errors import ContractError
-from maxcon.models import LinearDataset, exact_maxcon_bases, minimax_fit
+from maxcon.experiment import ExperimentConfig, run_experiment
+from maxcon.models import (
+    LinearDataset,
+    exact_maxcon_bases,
+    load_dataset_csv,
+    minimax_fit,
+    save_dataset_csv,
+)
 from maxcon.solvers import (
+    METHODS,
     RansacBudget,
     SolverConfig,
     lo_ransac,
     local_expansion,
     mbf_maxcon,
     ransac,
+    solve,
     wi_maxcon,
 )
 
@@ -261,3 +272,59 @@ def test_ransac_time_budget():
     data = gen_hyperplane_data(GenSpec(n=60, dim=2, outlier_fraction=0.3, seed=33))
     res = ransac(data.dataset, 0.1, {"time": 1e-9, "max_iterations": 10**6}, 3)
     assert res.budget_exhausted
+
+
+# ---------------------------------------------------------------------------
+# One dispatch from method name to solver
+# ---------------------------------------------------------------------------
+
+
+def without_runtime(payload: dict) -> dict:
+    return {k: v for k, v in payload.items() if k != "runtime_ms"}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_matches_direct_call_cli_and_experiment(method, tmp_path, capsys):
+    path = tmp_path / "line.csv"
+    save_dataset_csv(line_instance(8, n=12).dataset, path)
+    ds = load_dataset_csv(path)
+    eps, seed = 0.1, 3
+    opts = {"q": 0.3, "samples": 150} if method in ("wi", "mbf") else {}
+    got = solve(ds, method, eps, seed, **opts)
+    want = without_runtime(got.to_json_dict())
+
+    if method == "exact":
+        inliers, theta = exact_maxcon_bases(ds, eps)
+        assert (got.inlier_set, list(got.theta)) == (inliers, list(theta.theta))
+    else:
+        cfg = SolverConfig(epsilon=eps, seed=seed, **opts)
+        budget = RansacBudget(confidence=0.99)
+        direct = {
+            "wi": lambda: wi_maxcon(ds, cfg),
+            "mbf": lambda: mbf_maxcon(ds, cfg),
+            "ransac": lambda: ransac(ds, eps, budget, seed),
+            "lo-ransac": lambda: lo_ransac(ds, eps, budget, seed),
+        }[method]()
+        assert without_runtime(direct.to_json_dict()) == want
+
+    flags = [f"--{k}={v}" for k, v in opts.items()]
+    argv = ["fit", "--data", str(path), "--eps", str(eps), "--method", method, "--seed", str(seed)]
+    assert main(argv + flags) == 0
+    assert without_runtime(json.loads(capsys.readouterr().out)) == want
+
+    report = run_experiment(
+        ExperimentConfig(
+            dataset={"source": "csv", "path": str(path)},
+            epsilon=eps,
+            methods=[{"name": method, **opts}],
+            seeds=[seed],
+        )
+    )
+    row = without_runtime(report.rows[0])
+    assert row.pop("repetition") == 0
+    assert row == want
+
+
+def test_solve_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        solve(line_instance(0).dataset, "bogus", 0.1)
