@@ -24,7 +24,7 @@ def main():
     ap.add_argument("--matches", type=int, default=40)
     ap.add_argument("--outliers", type=int, default=12)
     ap.add_argument("--eps", type=float, default=None)
-    ap.add_argument("--q", type=float, default=0.25)
+    ap.add_argument("--q", type=float, default=None, help="default: the solver's, clamped")
     ap.add_argument("--samples", type=int, default=100)
     ap.add_argument("--repetitions", type=int, default=20)
     ap.add_argument("--seed", type=int, default=3000)

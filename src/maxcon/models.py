@@ -32,6 +32,13 @@ from .errors import BudgetError, ContractError, SolverError
 # Relative tolerance for membership in the active set of a minimax fit.
 ACTIVE_SET_RTOL = 1e-8
 
+# Margin, relative to eps + max |y_R|, by which a reference's minimax value
+# must exceed eps to certify infeasibility: far above the rounding of the
+# value, so that the certificate survives an independent re-solve at a tie.
+TIE_RTOL = 1e-9
+
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps)
+
 # Default refusal threshold for enumerating all (p+1)-subsets.
 DEFAULT_MAX_BASES = 200_000
 
@@ -162,20 +169,30 @@ def _chebyshev_lp(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.n
 
 
 def _exchange_feasibility(
-    A: np.ndarray, y: np.ndarray, eps: float, theta0: np.ndarray | None, max_iter: int = 8
+    A: np.ndarray, y: np.ndarray, eps: float, theta0: np.ndarray | None
 ) -> tuple[int | None, np.ndarray | None]:
     """Certified feasibility of max |A theta - y| <= eps by reference ascent.
 
     Maintains a reference of p+1 points.  The reference's own minimax value
     h = |v . y_R| / ||v||_1 (v spanning the null space of A_R transposed) is a
-    lower bound for the whole system, so h > eps certifies infeasibility; a
-    levelled solution whose residuals all fit within eps certifies
-    feasibility.  Otherwise the worst point enters the reference by a dual
-    ratio test and the bound ascends.  Returns (None, None) instead of
-    guessing whenever the arithmetic turns degenerate or the iteration cap is
-    hit, so every produced answer carries an explicit certificate:
-    (1, reference_rows) or (0, theta).  Infeasible queries typically certify
-    within a few exchanges; the cap keeps feasible-side probes cheap.
+    lower bound for the whole system, so h > eps (by a margin above rounding,
+    see TIE_RTOL) certifies infeasibility; a levelled solution whose residuals
+    all fit within eps certifies feasibility.  Otherwise the worst point
+    enters the reference by a dual ratio test and h ascends (Stiefel / de la
+    Vallee Poussin exchange).
+
+    Sign convention: with sigma = sign(v) * sign(v . y_R), the levelled solve
+    [A_R | -sigma] [theta; t] = y_R gives t = -h, so reference point i has
+    residual a_i . theta - y_i = -sigma_i h.  The ratio test runs over the
+    dual columns of these actual residual signs, -sigma_i a_i.
+
+    The reference is kept sorted, so even the rounded h is a function of the
+    reference set alone: a strictly rising h never revisits a reference, and
+    the ascent ends without an iteration cap.  It returns (None, None) instead
+    of guessing when a solve turns singular or h fails to strictly increase (a
+    degenerate reference), or when a fit within eps is not certain beyond the
+    rounding of its residuals, so every produced answer carries an explicit
+    certificate: (1, reference_rows) or (0, theta).
     """
     m, p = A.shape
     if m < p + 1:
@@ -191,7 +208,8 @@ def _exchange_feasibility(
     square = np.empty((k, k))
     basis = np.empty((k, k))
     enter = np.empty(k)
-    for _ in range(max_iter):
+    h_prev = -1.0
+    while True:
         a_ref = A[ref]
         # null vector of the reference feature block's transpose
         square[:, :p] = a_ref
@@ -205,8 +223,12 @@ def _exchange_feasibility(
         if not np.isfinite(scale) or scale < 1e-12:
             return None, None
         corr = float(nullvec @ y[ref])
-        if abs(corr) / scale > eps:
+        h = abs(corr) / scale
+        if h > eps + TIE_RTOL * (eps + np.abs(y[ref]).max()):
             return 1, ref
+        if not h > h_prev:
+            return None, None
+        h_prev = h
         sigma = np.sign(nullvec) * (1.0 if corr >= 0 else -1.0)
         if np.any(sigma == 0):
             return None, None
@@ -220,11 +242,17 @@ def _exchange_feasibility(
         full_resid = A @ theta - y
         w = int(np.argmax(np.abs(full_resid)))
         if abs(full_resid[w]) <= eps:
-            return 0, theta
+            # the residuals' rounding bound must fit too: a near-singular
+            # reference yields a huge theta whose residuals are noise
+            slack = (p + 2) * _UNIT_ROUNDOFF * (np.abs(A) @ np.abs(theta) + np.abs(y))
+            if np.all(np.abs(full_resid) + slack <= eps):
+                return 0, theta
+            return None, None
         # dual ratio test: bring w in, drop the reference member that keeps
-        # the multipliers nonnegative
+        # the multipliers nonnegative; the columns carry each point's
+        # residual sign, -sigma for the reference
         lam = np.abs(nullvec) / scale
-        basis[:p, :] = sigma * a_ref.T
+        basis[:p, :] = -sigma * a_ref.T
         basis[p, :] = 1.0
         enter[:p] = np.sign(full_resid[w]) * A[w]
         enter[p] = 1.0
@@ -236,9 +264,8 @@ def _exchange_feasibility(
         if not positive.any():
             return None, None
         ratios = np.where(positive, lam / np.where(positive, mu, 1.0), np.inf)
-        ref = ref.copy()
         ref[int(np.argmin(ratios))] = w
-    return None, None
+        ref.sort()
 
 
 def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> MinimaxFit:
@@ -356,11 +383,14 @@ class FeasibilityOracle:
       consensus), each with its cover mask of the points within epsilon; a
       query inside a cover mask is feasible with that vector as certificate;
     - infeasibility: cached small infeasible cores contained in the query;
-    - either: the certified exchange ascent, which terminates only with an
-      explicit infeasible core or an explicit within-epsilon parameter vector.
+    - either: the certified exchange ascent, whose reference value rises
+      strictly until it ends with an explicit infeasible core or an explicit
+      within-epsilon parameter vector.
 
-    Only queries where the ascent goes degenerate pay for a full-size LP, and
-    every answer is backed by the same exact criteria the LP would apply.
+    Only queries whose reference turns singular or stalls (duplicate rows,
+    dependent features, ties at epsilon) pay for a full-size LP; on data in
+    general position none do.  Every answer is backed by the same exact
+    criteria the LP would apply.
     Concurrent queries are permitted; counters are updated under a lock.
     """
 

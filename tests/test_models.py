@@ -2,8 +2,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxcon.cube import TabulatedFunction, Vertex, mask_rows
+from maxcon.cube import TabulatedFunction, Vertex, estimate_influence_bernoulli, mask_rows
 from maxcon.datagen import GenSpec, gen_hyperplane_data
 from maxcon.errors import BudgetError, ContractError
 from maxcon.models import (
@@ -125,6 +127,17 @@ def test_minimax_optimality_against_probes():
         assert fit.value <= best + 1e-9
 
 
+def assert_exchange_certificate(A, y, eps, verdict, evidence):
+    """An infeasible reference must be infeasible on its own rows; a feasible
+    theta must fit every row within eps."""
+    if verdict == 1:
+        value, _, _ = _chebyshev_lp(A[evidence], y[evidence])
+        assert value > eps
+    else:
+        assert verdict == 0
+        assert np.abs(A @ evidence - y).max() <= eps
+
+
 def test_exchange_agrees_with_lp_on_random_subsets():
     rng = np.random.default_rng(7)
     for p, n in ((2, 30), (8, 120)):
@@ -136,9 +149,52 @@ def test_exchange_agrees_with_lp_on_random_subsets():
             rows = rng.choice(n, m, replace=False)
             A, y = feats[rows], resp[rows]
             value, _, _ = _chebyshev_lp(A, y)
-            verdict, _ = _exchange_feasibility(A, y, 0.25, None)
-            if verdict is not None:
-                assert verdict == int(value > 0.25)
+            verdict, evidence = _exchange_feasibility(A, y, 0.25, None)
+            assert verdict == int(value > 0.25)
+            assert_exchange_certificate(A, y, 0.25, verdict, evidence)
+
+
+def test_exchange_keeps_the_lp_off_the_oracle_hot_path():
+    data = gen_hyperplane_data(GenSpec(n=80, dim=8, seed=11, outlier_count=10))
+    oracle = FeasibilityOracle(data.dataset, 0.1)
+    estimate_influence_bernoulli(oracle, range(80), 0.15, 100, 0)
+    assert oracle.core_tests > 0
+    assert oracle.lp_solves == 0
+
+
+def degenerate_dataset(seed: int, p: int, duplicates: bool, collinear: bool):
+    """Small dataset with duplicate rows, dependent feature columns and
+    responses at exactly +-eps from a planted theta, plus a few outliers."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(p + 3, 15))
+    feats = np.column_stack([rng.uniform(-3, 3, (n, p - 1)), np.ones(n)])
+    if collinear:
+        feats[:, 0] = rng.uniform(-2, 2) * feats[:, 1]
+    if duplicates:
+        k = n // 3
+        feats[n - k :] = feats[rng.integers(0, n - k, k)]
+    eps = 0.1
+    resp = feats @ rng.uniform(-1, 1, p) + eps * rng.choice([-1.0, 0.0, 1.0], n)
+    outliers = np.flatnonzero(rng.random(n) < 0.25)
+    resp[outliers] += rng.choice([-1.0, 1.0], len(outliers)) * rng.uniform(0.2, 1.0, len(outliers))
+    return LinearDataset(feats, resp), eps, rng
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_oracle_and_exchange_on_degenerate_data(seed, p, duplicates, collinear):
+    ds, eps, rng = degenerate_dataset(seed, p, duplicates, collinear)
+    oracle = FeasibilityOracle(ds, eps)
+    for _ in range(15):
+        rows = np.sort(rng.choice(ds.n, int(rng.integers(p + 1, ds.n + 1)), replace=False))
+        A, y = ds.rows(rows)
+        value, _, _ = _chebyshev_lp(A, y)
+        verdict = oracle(rows)
+        if abs(value - eps) > 1e-9:
+            assert verdict == int(value > eps)
+        answer, evidence = _exchange_feasibility(A, y, eps, None)
+        if answer is not None:
+            assert_exchange_certificate(A, y, eps, answer, evidence)
 
 
 def test_chebyshev_combos_match_lp():
