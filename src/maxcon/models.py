@@ -551,14 +551,23 @@ class FeasibilityOracle:
 # --------------------------------------------------------------------------
 
 
-def _combinations(n: int, k: int, max_bases: int) -> np.ndarray:
-    """All k-subsets of range(n) as rows, refused above max_bases of them."""
-    count = math.comb(n, k)
+def _check_bases(count: int, max_bases: int) -> None:
     if count > max_bases:
         raise BudgetError(
             f"enumerating {count} candidate bases exceeds the cap of {max_bases}"
         )
+
+
+def _combinations(n: int, k: int, max_bases: int) -> np.ndarray:
+    """All k-subsets of range(n) as rows, refused above max_bases of them."""
+    _check_bases(math.comb(n, k), max_bases)
     return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+
+
+def consensus_counts(dataset: LinearDataset, epsilon: float, thetas: np.ndarray) -> np.ndarray:
+    """Number of points within epsilon of each parameter row of ``thetas`` (k, p)."""
+    resid = np.abs(dataset.features @ thetas.T - dataset.responses[:, None])
+    return (resid <= epsilon).sum(axis=0)
 
 
 def _best_consensus(
@@ -570,8 +579,7 @@ def _best_consensus(
     chunk = 20_000
     for lo in range(0, len(thetas), chunk):
         th = thetas[lo : lo + chunk]
-        resid = np.abs(dataset.features @ th.T - dataset.responses[:, None])
-        counts = (resid <= epsilon).sum(axis=0)
+        counts = consensus_counts(dataset, epsilon, th)
         j = int(np.argmax(counts))
         if counts[j] > best_count:
             best_count = int(counts[j])
@@ -588,8 +596,10 @@ def exact_maxcon_bases(
     whole dataset; the largest consensus wins, ties broken by enumeration
     order.  With n <= p the full index set is returned, and with n = p + 1 it
     is returned when feasible.  When no (p+1)-subset is feasible the optimum
-    has p points, and the least-squares fits through every p-subset (the
-    interpolants, in general position) are scored instead.
+    has at most p points, and the min-norm least-squares fits through every
+    subset of p, then p - 1, ..., 1 points are scored instead.  In general
+    position the p-subset fits are interpolants; on rank-deficient features
+    they can all miss, and a fit through fewer points attains the optimum.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -605,9 +615,16 @@ def exact_maxcon_bases(
         _, thetas = _chebyshev_combos(feats, resp, combos)
         best_count, best_theta = _best_consensus(dataset, epsilon, thetas)
     if best_count <= p:
-        combos = _combinations(n, p, max_bases)
-        interpolants = (np.linalg.pinv(feats[combos]) @ resp[combos][..., None])[..., 0]
-        _, best_theta = _best_consensus(dataset, epsilon, interpolants)
+        # p-subsets first, so that their fits keep winning ties
+        sizes = range(p, 0, -1)
+        _check_bases(sum(math.comb(n, k) for k in sizes), max_bases)
+        interpolants = []
+        for k in sizes:
+            combos = _combinations(n, k, max_bases)
+            interpolants.append(
+                (np.linalg.pinv(feats[combos]) @ resp[combos][..., None])[..., 0]
+            )
+        _, best_theta = _best_consensus(dataset, epsilon, np.concatenate(interpolants))
     inliers = np.flatnonzero(np.abs(feats @ best_theta - resp) <= epsilon)
     return tuple(int(i) for i in inliers), ModelParams(best_theta)
 
@@ -619,6 +636,12 @@ def exact_maxcon_enumerate(f, cap: int = cube.ENUMERATION_CAP) -> tuple[int, ...
     oracle or a synthetic function).  Among the feasible vertices of maximal
     level the one whose index tuple is lexicographically smallest is
     returned, matching a level-by-level scan in combination order.
+
+    On a ``FeasibilityOracle`` the result inherits the oracle's
+    general-position assumption: every subset of at most p points counts as
+    feasible.  On rank-deficient features (duplicate rows, say) a p-subset
+    can be infeasible, and ``exact_maxcon_bases``, which fits every subset,
+    can then report a smaller optimum.
     """
     n = f.n
     if n > cap:

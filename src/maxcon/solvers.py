@@ -34,6 +34,7 @@ from .errors import ContractError, SolverError
 from .models import (
     FeasibilityOracle,
     LinearDataset,
+    consensus_counts,
     exact_maxcon_bases,
     minimax_fit,
     residuals,
@@ -42,6 +43,8 @@ from .models import (
 RECOMMENDED_Q_MAX = 0.4
 RECOMMENDED_SAMPLES = (100, 500)
 METHODS = ("wi", "mbf", "ransac", "lo-ransac", "exact")
+# RANSAC hypotheses drawn, solved and counted together
+CHUNK = 128
 
 
 @dataclass
@@ -77,6 +80,8 @@ class SolverConfig:
             raise ValueError("hamming_level_offset must be nonnegative")
         if self.q is not None and not 0 < self.q < 1:
             raise ValueError("q must lie in (0, 1)")
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError("time_budget must be positive")
         if self.allow_extreme:
             return
         lo, hi = self.recommended_q_range(n, p)
@@ -273,6 +278,12 @@ class RansacBudget:
     def __post_init__(self) -> None:
         if self.iterations is None and self.time is None and self.confidence is None:
             raise ValueError("budget needs iterations, time or confidence")
+        if self.iterations is not None and self.iterations < 0:
+            raise ValueError("iterations must be nonnegative")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if self.time is not None and not self.time > 0:
+            raise ValueError("time must be positive")
         if self.confidence is not None and not 0 < self.confidence < 1:
             raise ValueError("confidence must lie in (0, 1)")
 
@@ -302,6 +313,15 @@ def ransac(
     budget the iteration target adapts to the best inlier ratio found so far.
     A positive refinement depth re-fits each new best hypothesis on its
     consensus set by a minimax fit, which is the locally-optimised variant.
+
+    Hypotheses are scored in chunks of at most ``CHUNK``: one ``gen.choice``
+    per hypothesis, as in a one-at-a-time loop, then one stacked solve and
+    one consensus count for the chunk, which is then walked in order.  The
+    results, iterations and evaluation counts are those of the one-at-a-time
+    loop.  The clock is read once per chunk, so a time budget can overrun by
+    at most one chunk (a few milliseconds).  A ``Generator`` passed as
+    ``rng`` may be advanced past the last hypothesis used when a confidence
+    or time budget stops mid-chunk; a seed is unaffected.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -321,43 +341,47 @@ def ransac(
     exhausted = False
     target = b.iterations if b.iterations is not None else b.max_iterations
     target = min(target, b.max_iterations)
-    adaptive = math.inf if b.confidence is not None else None
-    while it < target and (adaptive is None or it < adaptive):
+    adaptive = math.inf  # the confidence target, set by a confidence budget
+    while it < min(target, adaptive):
         if b.time is not None and time.perf_counter() - t0 > b.time:
             exhausted = True
             break
-        pick = gen.choice(n, size=p, replace=False)
-        it += 1
-        evals += 1
-        A = feats[pick]
-        try:
-            theta = np.linalg.solve(A, resp[pick])
-        except np.linalg.LinAlgError:
-            skipped += 1
-            continue
-        if not np.isfinite(theta).all():
-            skipped += 1
-            continue
-        count = int((np.abs(feats @ theta - resp) <= epsilon).sum())
-        if count > best_count:
-            best_count, best_theta = count, theta
-            for _ in range(refinement_depth):
-                members = np.flatnonzero(np.abs(feats @ best_theta - resp) <= epsilon)
-                fit = minimax_fit(dataset, (int(i) for i in members))
-                evals += 1
-                refined = int((np.abs(feats @ fit.theta.theta - resp) <= epsilon).sum())
-                if refined > best_count:
-                    best_count, best_theta = refined, fit.theta.theta
-                else:
-                    break
-            if b.confidence is not None:
-                w = best_count / n
-                if w >= 1.0:
-                    adaptive = it
-                elif w > 0:
-                    denom = math.log(1.0 - w**p) if w**p < 1.0 else -math.inf
-                    if denom < 0:
-                        adaptive = math.ceil(math.log(1.0 - b.confidence) / denom)
+        size = min(CHUNK, target - it, adaptive - it)
+        picks = np.array([gen.choice(n, size=p, replace=False) for _ in range(size)])
+        A = feats[picks]
+        # a zero pivot (sign 0) is exactly what makes np.linalg.solve raise
+        singular = np.linalg.slogdet(A)[0] == 0.0
+        A[singular] = np.eye(p)
+        thetas = np.linalg.solve(A, resp[picks][..., None])[..., 0]
+        usable = ~singular & np.isfinite(thetas).all(axis=1)
+        counts = consensus_counts(dataset, epsilon, thetas)
+        for j in range(size):
+            if it >= adaptive:
+                break
+            it += 1
+            evals += 1
+            if not usable[j]:
+                skipped += 1
+                continue
+            if counts[j] > best_count:
+                best_count, best_theta = int(counts[j]), thetas[j]
+                for _ in range(refinement_depth):
+                    members = np.flatnonzero(np.abs(feats @ best_theta - resp) <= epsilon)
+                    fit = minimax_fit(dataset, (int(i) for i in members))
+                    evals += 1
+                    refined = int((np.abs(feats @ fit.theta.theta - resp) <= epsilon).sum())
+                    if refined > best_count:
+                        best_count, best_theta = refined, fit.theta.theta
+                    else:
+                        break
+                if b.confidence is not None:
+                    w = best_count / n
+                    if w >= 1.0:
+                        adaptive = it
+                    elif w > 0:
+                        denom = math.log(1.0 - w**p) if w**p < 1.0 else -math.inf
+                        if denom < 0:
+                            adaptive = math.ceil(math.log(1.0 - b.confidence) / denom)
     if best_theta is None:
         inliers: tuple[int, ...] = ()
         theta_out = np.zeros(p)

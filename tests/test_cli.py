@@ -65,6 +65,23 @@ def test_fit_ransac_and_mbf(tmp_path, capsys):
         assert json.loads(out)["method"] == method
 
 
+def test_fit_rejects_invalid_budgets(tmp_path, capsys):
+    data = tmp_path / "line.csv"
+    run_cli(
+        ["gen", "--n", "12", "--dim", "2", "--outliers", "3", "--seed", "5", "--out", str(data)],
+        capsys,
+    )
+    fit = ["fit", "--data", str(data), "--eps", "0.1"]
+    for flags in (
+        ["--method", "ransac", "--iterations", "-5"],
+        ["--method", "ransac", "--time-budget", "-1"],
+        ["--method", "wi", "--time-budget", "0"],
+    ):
+        code, out, err = run_cli(fit + flags, capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_influence_exact_and_estimated(tmp_path, capsys):
     data = tmp_path / "line.csv"
     run_cli(

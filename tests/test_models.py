@@ -392,6 +392,24 @@ def test_exact_maxcon_without_feasible_basis_keeps_p_points():
         assert np.all(resid <= 0.1)
 
 
+def test_exact_maxcon_on_rank_deficient_features_keeps_one_point():
+    # three copies of one row: every pair is singular and its least-squares fit
+    # averages two responses, so only a single-point fit reaches a response
+    for ys in ([0.0, 5.0, 11.0], [0.0, 5.0, 10.0]):
+        ds = LinearDataset(np.tile([1.0, 0.0], (3, 1)), np.array(ys))
+        inliers, _ = exact_maxcon_bases(ds, 0.1)
+        assert len(inliers) == 1
+        assert minimax_fit(ds, inliers).value <= 0.1
+
+
+def test_exact_maxcon_counts_every_fallback_subset_against_the_cap():
+    ds = LinearDataset(np.column_stack([np.ones(4), np.arange(4.0)]), np.array([0.0, 5.0, 0.0, 5.0]))
+    # 4 triples pass the cap, then 6 pairs and 4 singletons do not
+    with pytest.raises(BudgetError):
+        exact_maxcon_bases(ds, 0.1, max_bases=9)
+    assert len(exact_maxcon_bases(ds, 0.1, max_bases=10)[0]) == 2
+
+
 def test_enumerate_structured_toy():
     zeros = tuple(
         Vertex.from_string(s) for s in ("00111111", "10001101", "01100010", "11010000")

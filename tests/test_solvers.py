@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from maxcon import solvers
 from maxcon.cli import main
 from maxcon.datagen import GenSpec, gen_hyperplane_data, gen_multistructure_data
 from maxcon.errors import ContractError
@@ -16,6 +17,7 @@ from maxcon.models import (
     save_dataset_csv,
 )
 from maxcon.solvers import (
+    CHUNK,
     METHODS,
     RansacBudget,
     SolverConfig,
@@ -52,6 +54,12 @@ def test_config_enforces_recommended_ranges():
         SolverConfig(epsilon=0.1, samples=50).validate(15, 2)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.1, local_expansion="sometimes").validate(15, 2)
+
+
+def test_config_rejects_nonpositive_time_budget():
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="time_budget"):
+            SolverConfig(epsilon=0.1, time_budget=bad).validate(15, 2)
 
 
 def test_config_default_q_clamped():
@@ -272,6 +280,123 @@ def test_ransac_time_budget():
     data = gen_hyperplane_data(GenSpec(n=60, dim=2, outlier_fraction=0.3, seed=33))
     res = ransac(data.dataset, 0.1, {"time": 1e-9, "max_iterations": 10**6}, 3)
     assert res.budget_exhausted
+    # the clock is read once per chunk, so the budget stops the run within one
+    res = ransac(data.dataset, 0.1, {"time": 0.05, "max_iterations": 10**6}, 3)
+    assert res.budget_exhausted
+    assert res.iterations < 10**5
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"iterations": -5}, {"confidence": 0.99, "max_iterations": 0}, {"time": 0.0}, {"time": -1.0}],
+)
+def test_ransac_budget_rejects_invalid_values(bad):
+    with pytest.raises(ValueError):
+        RansacBudget(**bad)
+    with pytest.raises(ValueError):
+        ransac(line_instance(seed=27).dataset, 0.1, bad, 0)
+
+
+def reference_ransac(dataset, epsilon, budget, seed, refinement_depth):
+    """One hypothesis at a time: the loop that chunked scoring replaced."""
+    b = RansacBudget(**budget)
+    gen = np.random.default_rng(seed)
+    n, p = dataset.n, dataset.p
+    feats, resp = dataset.features, dataset.responses
+    best_count, best_theta = 0, None
+    it = skipped = evals = 0
+    target = min(b.iterations if b.iterations is not None else b.max_iterations, b.max_iterations)
+    adaptive = math.inf if b.confidence is not None else None
+    while it < target and (adaptive is None or it < adaptive):
+        pick = gen.choice(n, size=p, replace=False)
+        it += 1
+        evals += 1
+        try:
+            theta = np.linalg.solve(feats[pick], resp[pick])
+        except np.linalg.LinAlgError:
+            skipped += 1
+            continue
+        if not np.isfinite(theta).all():
+            skipped += 1
+            continue
+        count = int((np.abs(feats @ theta - resp) <= epsilon).sum())
+        if count > best_count:
+            best_count, best_theta = count, theta
+            for _ in range(refinement_depth):
+                members = np.flatnonzero(np.abs(feats @ best_theta - resp) <= epsilon)
+                fit = minimax_fit(dataset, (int(i) for i in members))
+                evals += 1
+                refined = int((np.abs(feats @ fit.theta.theta - resp) <= epsilon).sum())
+                if refined > best_count:
+                    best_count, best_theta = refined, fit.theta.theta
+                else:
+                    break
+            if b.confidence is not None:
+                w = best_count / n
+                if w >= 1.0:
+                    adaptive = it
+                elif w > 0:
+                    denom = math.log(1.0 - w**p) if w**p < 1.0 else -math.inf
+                    if denom < 0:
+                        adaptive = math.ceil(math.log(1.0 - b.confidence) / denom)
+    inliers = tuple(int(i) for i in np.flatnonzero(np.abs(feats @ best_theta - resp) <= epsilon))
+    return inliers, best_theta, it, evals, skipped, False
+
+
+def duplicate_row_instance():
+    rng = np.random.default_rng(0)
+    feats = np.repeat(rng.normal(size=(6, 3)), 4, axis=0)
+    resp = feats @ np.array([1.0, -2.0, 0.5]) + rng.normal(scale=0.05, size=24)
+    return LinearDataset(feats, resp)
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_ransac_matches_sequential_reference(depth):
+    instances = [
+        line_instance(seed=41, n=30).dataset,
+        gen_hyperplane_data(GenSpec(n=60, dim=5, outlier_fraction=0.5, seed=43)).dataset,
+        duplicate_row_instance(),
+    ]
+    budgets = [{"iterations": k} for k in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)]
+    budgets.append({"confidence": 0.99})
+    skipped = 0
+    for ds in instances:
+        for budget in budgets:
+            for seed in (0, 1):
+                got = ransac(ds, 0.1, budget, seed, refinement_depth=depth)
+                want = reference_ransac(ds, 0.1, budget, seed, depth)
+                assert got.inlier_set == want[0]
+                assert np.array_equal(got.theta, want[1])
+                assert got.iterations == want[2]
+                assert got.oracle_evaluations == want[3]
+                assert got.config["skipped_hypotheses"] == want[4]
+                assert got.budget_exhausted == want[5]
+                skipped += want[4]
+    assert skipped > 0  # the duplicate rows make singular hypotheses
+
+
+def test_ransac_solves_each_chunk_at_once(monkeypatch):
+    calls = {"solve": 0, "inside_fit": 0}
+    solve_fn, fit_fn = np.linalg.solve, solvers.minimax_fit
+
+    def counting_solve(*args, **kwargs):
+        if not calls["inside_fit"]:
+            calls["solve"] += 1
+        return solve_fn(*args, **kwargs)
+
+    def fit_uncounted(*args, **kwargs):
+        calls["inside_fit"] += 1
+        try:
+            return fit_fn(*args, **kwargs)
+        finally:
+            calls["inside_fit"] -= 1
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(solvers, "minimax_fit", fit_uncounted)
+    data = gen_hyperplane_data(GenSpec(n=40, dim=3, outlier_fraction=0.3, seed=45))
+    res = ransac(data.dataset, 0.1, {"iterations": 1000}, 0)
+    assert res.iterations == 1000
+    assert calls["solve"] <= math.ceil(1000 / CHUNK)
 
 
 # ---------------------------------------------------------------------------
