@@ -8,7 +8,11 @@ has bits 0 and 2 set.
 Boolean functions over the cube are represented by any callable object with
 an ``n`` attribute that maps a bitmask to 0 or 1.  Functions that can produce
 their full truth table cheaply may expose a ``truth_table()`` method; the
-exact-influence routines use it when present.
+exact-influence routines use it when present.  Functions that answer many
+vertices faster together may expose a ``resolve(masks)`` method returning
+the value of each mask, which must equal what calling f on it returns; the
+sampled estimators pass it every drawn vertex, then every flip monotonicity
+leaves open, before they make their own calls of f.
 """
 
 from __future__ import annotations
@@ -121,11 +125,17 @@ def as_mask(subset: "Vertex | int | Iterable[int]", n: int) -> int:
     return Vertex.from_indices(subset, n).bits
 
 
+def masks_flags(masks: Sequence[int], n: int) -> np.ndarray:
+    """Row r, column j: bit j of ``masks[r]``, as a (len(masks), n) bool array."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), nbytes), axis=1, bitorder="little")
+    return bits[:, :n].astype(bool)
+
+
 def mask_rows(mask: int, n: int) -> np.ndarray:
     """Indices of the set bits of a width-n mask, ascending."""
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(packed, bitorder="little")[:n])
+    return np.flatnonzero(masks_flags((mask,), n)[0])
 
 
 def flags_mask(flags: np.ndarray) -> int:
@@ -430,6 +440,30 @@ def _flip_value(f, bits: int, fb: int, i: int) -> int:
     return f(bits ^ (1 << i))
 
 
+def _sampled_scores(f, indices: Iterable[int], draw, one_index) -> dict:
+    """Scores of the indices in order, from the samples ``draw`` makes for each.
+
+    Every index's samples are drawn first.  A function with a
+    ``resolve(masks)`` method then receives every drawn base vertex in one
+    call, and every flip that ``_flip_value`` cannot imply in a second, so
+    that ``one_index``'s own calls of f find their answers ready: the samples
+    of one estimate do not depend on each other.
+    """
+    idx = [operator.index(i) for i in indices]
+    drawn = [draw(i) for i in idx]
+    resolve = getattr(f, "resolve", None)
+    if resolve is not None:
+        values = iter(resolve([bits for samples in drawn for bits in samples]))
+        flips = []
+        for i, samples in zip(idx, drawn):
+            for bits in samples:
+                # open: a 0-vertex gaining bit i, or a 1-vertex losing it
+                if next(values) == (bits >> i) & 1:
+                    flips.append(bits ^ (1 << i))
+        resolve(flips)
+    return dict(map(one_index, idx, drawn))
+
+
 def _support_positions(n: int, support: Iterable[int] | None) -> tuple[list[int], dict]:
     """The support as a list of parent indices, and each one's position in it."""
     sup = list(range(n)) if support is None else [operator.index(j) for j in support]
@@ -487,15 +521,16 @@ def estimate_influence_bernoulli(
     denom = h if mode == "paper" else 2 * half
     scale = -1.0 / (denom * math.sqrt(q * (1.0 - q)))
 
-    def one_index(i: int) -> tuple[int, float]:
-        i = operator.index(i)
+    def draw(i: int) -> list[int]:
         gen = substream(seed, _position(positions, i))
         flags = np.zeros((half, n), dtype=bool)
         flags[:, sup] = gen.random((half, len(sup))) < q
         packed = np.packbits(flags, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def one_index(i: int, samples: list[int]) -> tuple[int, float]:
         acc = 0.0
-        for row in packed:
-            bits = int.from_bytes(row.tobytes(), "little")
+        for bits in samples:
             fb = f(bits)
             fc = _flip_value(f, bits, fb, i)
             bit_i = (bits >> i) & 1
@@ -509,7 +544,7 @@ def estimate_influence_bernoulli(
                 acc += fb * chi_b + fc * chi_c
         return i, (scale * acc) + 0.0
 
-    scores = dict(map(one_index, indices))
+    scores = _sampled_scores(f, indices, draw, one_index)
     base_seed = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     return InfluenceReport(
         measure="bernoulli",
@@ -549,20 +584,25 @@ def estimate_influence_hamming(
     if h < 1:
         raise ValueError(f"sample count h must be at least 1, got {h}")
 
-    def one_index(i: int) -> tuple[int, float]:
-        i = operator.index(i)
+    def draw(i: int) -> list[int]:
         gen = substream(seed, _position(positions, i))
-        hits = 0
+        samples = []
         for _ in range(h):
             bits = 0
             for j in gen.choice(len(sup), size=k, replace=False):
                 bits |= 1 << sup[j]
+            samples.append(bits)
+        return samples
+
+    def one_index(i: int, samples: list[int]) -> tuple[int, float]:
+        hits = 0
+        for bits in samples:
             fb = f(bits)
             if fb != _flip_value(f, bits, fb, i):
                 hits += 1
         return i, hits / h
 
-    scores = dict(map(one_index, indices))
+    scores = _sampled_scores(f, indices, draw, one_index)
     base_seed = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     return InfluenceReport(
         measure="hamming", q_or_level=int(k), h=h, seed=base_seed, scores=scores, n=n

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import cube
-from .cube import as_mask, flags_mask, mask_rows, upward_closure_table
+from .cube import as_mask, flags_mask, masks_flags, upward_closure_table
 from .errors import BudgetError, ContractError, SolverError
 
 # Relative tolerance for membership in the active set of a minimax fit.
@@ -45,6 +44,9 @@ DEFAULT_MAX_BASES = 200_000
 # Feasibility oracle certificate caches: parameter vectors kept, cores kept.
 THETA_CACHE_SIZE = 24
 WITNESS_CACHE_SIZE = 128
+
+# Most oracle queries decided by one stacked exchange; bounds its memory.
+EXCHANGE_BATCH = 128
 
 
 # --------------------------------------------------------------------------
@@ -168,18 +170,39 @@ def _chebyshev_lp(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.n
     return float(resid.max()), theta, resid
 
 
-def _exchange_feasibility(
-    A: np.ndarray, y: np.ndarray, eps: float, theta0: np.ndarray | None
-) -> tuple[int | None, np.ndarray | None]:
-    """Certified feasibility of max |A theta - y| <= eps by reference ascent.
+def _stacked_solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each system of the stack M x = b; returns (x, nonsingular).
 
-    Maintains a reference of p+1 points.  The reference's own minimax value
-    h = |v . y_R| / ||v||_1 (v spanning the null space of A_R transposed) is a
-    lower bound for the whole system, so h > eps (by a margin above rounding,
-    see TIE_RTOL) certifies infeasibility; a levelled solution whose residuals
-    all fit within eps certifies feasibility.  Otherwise the worst point
-    enters the reference by a dual ratio test and h ascends (Stiefel / de la
-    Vallee Poussin exchange).
+    A zero ``slogdet`` sign (an exact zero pivot) is exactly what makes
+    ``np.linalg.solve`` raise, so it marks the singular systems, whose rows
+    of x are left zero.
+    """
+    try:
+        return np.linalg.solve(M, b[..., None])[..., 0], np.ones(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(M)[0] != 0
+        x = np.zeros(b.shape)
+        if ok.any():
+            x[ok] = np.linalg.solve(M[ok], b[ok][..., None])[..., 0]
+        return x, ok
+
+
+def _exchange(
+    A: np.ndarray, y: np.ndarray, members: np.ndarray, eps: float, theta0: np.ndarray | None
+) -> list[tuple[int | None, np.ndarray | None]]:
+    """Certified feasibility of many row subsets of (A, y) by reference ascent.
+
+    Row b of the boolean ``members`` (B, m), m being the number of rows of
+    A, selects query b's rows, more than p of them.  Each query maintains a
+    reference of p+1 of its rows.  The reference's own minimax value
+    h = |v . y_R| / ||v||_1 (v spanning the null space of A_R transposed) is
+    a lower bound for the whole query, so h > eps (by a margin above
+    rounding, see TIE_RTOL) certifies infeasibility; a levelled solution
+    whose residuals all fit within eps certifies feasibility.  Otherwise the
+    worst point enters the reference by a dual ratio test and h ascends
+    (Stiefel / de la Vallee Poussin exchange).  The open queries' references
+    form a (B, p+1, p) stack, so each pivot round is one stacked null-vector
+    solve, one levelled solve and one ratio-test solve.
 
     Sign convention: with sigma = sign(v) * sign(v . y_R), the levelled solve
     [A_R | -sigma] [theta; t] = y_R gives t = -h, so reference point i has
@@ -188,84 +211,101 @@ def _exchange_feasibility(
 
     The reference is kept sorted, so even the rounded h is a function of the
     reference set alone: a strictly rising h never revisits a reference, and
-    the ascent ends without an iteration cap.  It returns (None, None) instead
-    of guessing when a solve turns singular or h fails to strictly increase (a
-    degenerate reference), or when a fit within eps is not certain beyond the
-    rounding of its residuals, so every produced answer carries an explicit
-    certificate: (1, reference_rows) or (0, theta).
+    the ascent ends without an iteration cap.  A query gets (None, None)
+    instead of a guess when a solve turns singular or h fails to strictly
+    increase (a degenerate reference), or when a fit within eps is not
+    certain beyond the rounding of its residuals, so every produced answer
+    carries an explicit certificate: (1, reference rows of A) or (0, theta).
+    The initial reference is each query's p+1 largest residuals under theta0,
+    or under its own least-squares fit when theta0 is None.
     """
-    m, p = A.shape
-    if m < p + 1:
-        return None, None
-    if m == p + 1:
-        ref = np.arange(m)
-    else:
-        if theta0 is None:
-            theta0, *_ = np.linalg.lstsq(A, y, rcond=None)
-        resid = np.abs(A @ theta0 - y)
-        ref = np.sort(np.argpartition(resid, m - p - 1)[m - p - 1 :])
+    B = len(members)
+    p = A.shape[1]
     k = p + 1
-    square = np.empty((k, k))
-    basis = np.empty((k, k))
-    enter = np.empty(k)
-    h_prev = -1.0
-    while True:
+    out: list[tuple[int | None, np.ndarray | None]] = [(None, None)] * B
+    if theta0 is None:
+        warm = np.array([np.linalg.lstsq(A[row], y[row], rcond=None)[0] for row in members])
+        start = np.abs(warm @ A.T - y)
+    else:
+        start = np.broadcast_to(np.abs(A @ theta0 - y), members.shape)
+    start = np.where(members, start, -np.inf)
+    cut = A.shape[0] - k
+    ref = np.sort(np.argpartition(start, cut, axis=1)[:, cut:], axis=1)
+    ids = np.arange(B)
+    h_prev = np.full(B, -1.0)
+    unit = np.zeros((B, k))
+    unit[:, p] = 1.0
+    rounding = (p + 2) * _UNIT_ROUNDOFF
+    slack_a, slack_y = rounding * np.abs(A).T, rounding * np.abs(y)
+    while len(ids):
+        # null vector of each reference feature block's transpose
         a_ref = A[ref]
-        # null vector of the reference feature block's transpose
-        square[:, :p] = a_ref
-        square[:, p] = 0.0
-        square[0, p] = 1.0
-        try:
-            nullvec = np.linalg.solve(square.T, np.eye(k)[p])
-        except np.linalg.LinAlgError:
-            return None, None
-        scale = np.abs(nullvec).sum()
-        if not np.isfinite(scale) or scale < 1e-12:
-            return None, None
-        corr = float(nullvec @ y[ref])
-        h = abs(corr) / scale
-        if h > eps + TIE_RTOL * (eps + np.abs(y[ref]).max()):
-            return 1, ref
-        if not h > h_prev:
-            return None, None
-        h_prev = h
-        sigma = np.sign(nullvec) * (1.0 if corr >= 0 else -1.0)
-        if np.any(sigma == 0):
-            return None, None
-        square[:, :p] = a_ref
-        square[:, p] = -sigma
-        try:
-            sol = np.linalg.solve(square, y[ref])
-        except np.linalg.LinAlgError:
-            return None, None
-        theta = sol[:p]
-        full_resid = A @ theta - y
-        w = int(np.argmax(np.abs(full_resid)))
-        if abs(full_resid[w]) <= eps:
+        y_ref = y[ref]
+        square = np.zeros((len(ids), k, k))
+        square[:, :, :p] = a_ref
+        square[:, 0, p] = 1.0
+        nullvec, ok = _stacked_solve(np.swapaxes(square, 1, 2), unit[: len(ids)])
+        scale = np.abs(nullvec).sum(axis=1)
+        ok &= np.isfinite(scale) & (scale >= 1e-12)
+        corr = np.einsum("bk,bk->b", nullvec, y_ref)
+        h = np.abs(corr) / np.where(ok, scale, 1.0)
+        infeasible = ok & (h > eps + TIE_RTOL * (eps + np.abs(y_ref).max(axis=1)))
+        for j in np.flatnonzero(infeasible):
+            out[ids[j]] = (1, ref[j])
+        sigma = np.sign(nullvec) * np.where(corr >= 0, 1.0, -1.0)[:, None]
+        go = ok & ~infeasible & (h > h_prev) & (sigma != 0).all(axis=1)
+        if not go.any():
+            break
+        ids, ref, a_ref, y_ref, h, sigma = ids[go], ref[go], a_ref[go], y_ref[go], h[go], sigma[go]
+        lam = np.abs(nullvec[go]) / scale[go][:, None]
+        # levelled solve, then the residuals of all the query's rows
+        square = square[go]
+        square[:, :, p] = -sigma
+        sol, ok = _stacked_solve(square, y_ref)
+        theta = sol[:, :p]
+        resid = theta @ A.T - y
+        inside = members[ids]
+        size = np.where(inside, np.abs(resid), -1.0)
+        rows = np.arange(len(ids))
+        w = np.argmax(size, axis=1)
+        fits = ok & (size[rows, w] <= eps)
+        if fits.any():
             # the residuals' rounding bound must fit too: a near-singular
             # reference yields a huge theta whose residuals are noise
-            slack = (p + 2) * _UNIT_ROUNDOFF * (np.abs(A) @ np.abs(theta) + np.abs(y))
-            if np.all(np.abs(full_resid) + slack <= eps):
-                return 0, theta
-            return None, None
+            slack = np.abs(theta[fits]) @ slack_a + slack_y
+            certain = ((size[fits] + slack <= eps) | ~inside[fits]).all(axis=1)
+            for j, sure in zip(np.flatnonzero(fits), certain):
+                if sure:
+                    out[ids[j]] = (0, theta[j])
         # dual ratio test: bring w in, drop the reference member that keeps
         # the multipliers nonnegative; the columns carry each point's
         # residual sign, -sigma for the reference
-        lam = np.abs(nullvec) / scale
-        basis[:p, :] = -sigma * a_ref.T
-        basis[p, :] = 1.0
-        enter[:p] = np.sign(full_resid[w]) * A[w]
-        enter[p] = 1.0
-        try:
-            mu = np.linalg.solve(basis, enter)
-        except np.linalg.LinAlgError:
-            return None, None
+        go = ok & ~fits
+        if not go.any():
+            break
+        ids, ref, a_ref, h, lam, sigma = ids[go], ref[go], a_ref[go], h[go], lam[go], sigma[go]
+        sign_w, w = np.sign(resid[rows, w])[go], w[go]
+        basis = np.ones((len(ids), k, k))
+        basis[:, :p, :] = -sigma[:, None, :] * np.swapaxes(a_ref, 1, 2)
+        enter = np.ones((len(ids), k))
+        enter[:, :p] = sign_w[:, None] * A[w]
+        mu, ok = _stacked_solve(basis, enter)
         positive = mu > 1e-12
-        if not positive.any():
-            return None, None
+        ok &= positive.any(axis=1)
         ratios = np.where(positive, lam / np.where(positive, mu, 1.0), np.inf)
-        ref[int(np.argmin(ratios))] = w
-        ref.sort()
+        ref[np.arange(len(ids)), np.argmin(ratios, axis=1)] = w
+        ref.sort(axis=1)
+        ids, ref, h_prev = ids[ok], ref[ok], h[ok]
+    return out
+
+
+def _exchange_feasibility(
+    A: np.ndarray, y: np.ndarray, eps: float, theta0: np.ndarray | None
+) -> tuple[int | None, np.ndarray | None]:
+    """``_exchange`` on the single query of all rows of (A, y)."""
+    if A.shape[0] < A.shape[1] + 1:
+        return None, None
+    return _exchange(A, y, np.ones((1, A.shape[0]), dtype=bool), eps, theta0)[0]
 
 
 def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> MinimaxFit:
@@ -326,9 +366,10 @@ def _chebyshev_combos(
     For p + 1 points the optimum is attained at a vertex where every point's
     residual equals +-t, so solving the square system [A | -s] x = y for each
     sign pattern s and taking the candidate with the smallest verified maximum
-    residual recovers the exact fit.  Exactly singular systems are skipped via
-    an identity substitute (their verified residuals never win), and subsets
-    singular under every pattern fall back to the LP.
+    residual recovers the exact fit.  Exactly singular systems (a zero
+    ``slogdet`` sign; ``det`` itself underflows to 0.0 for tiny nonsingular
+    ones) are skipped via an identity substitute (their verified residuals
+    never win), and subsets singular under every pattern fall back to the LP.
     """
     S, m = combos.shape
     p = m - 1
@@ -345,8 +386,8 @@ def _chebyshev_combos(
         M = np.empty((s, P, m, m))
         M[..., :p] = A_sub[:, None, :, :]
         M[..., p] = -signs[None, :, :]
-        dets = np.linalg.det(M)
-        singular = dets == 0.0
+        # a zero pivot (sign 0) is exactly what makes np.linalg.solve raise
+        singular = np.linalg.slogdet(M)[0] == 0.0
         if singular.any():
             M[singular] = np.eye(m)
         x = np.linalg.solve(M, np.broadcast_to(y_sub[:, None, :, None], (s, P, m, 1)))
@@ -387,11 +428,14 @@ class FeasibilityOracle:
       strictly until it ends with an explicit infeasible core or an explicit
       within-epsilon parameter vector.
 
-    Only queries whose reference turns singular or stalls (duplicate rows,
-    dependent features, ties at epsilon) pay for a full-size LP; on data in
-    general position none do.  Every answer is backed by the same exact
-    criteria the LP would apply.
-    Concurrent queries are permitted; counters are updated under a lock.
+    ``resolve`` answers many subsets at once: the queries that no cache layer
+    answers run one stacked exchange per chunk of at most ``EXCHANGE_BATCH``
+    (128) distinct queries, a bound on its memory, and each chunk sees the
+    certificates of the chunks before it but not its own.  Only queries whose
+    reference turns singular or stalls (duplicate rows, dependent features,
+    ties at epsilon) pay for a full-size LP each; on data in general position
+    none do.  Every answer is backed by the same exact criteria the LP would
+    apply.
     """
 
     def __init__(self, dataset: LinearDataset, epsilon: float) -> None:
@@ -403,7 +447,6 @@ class FeasibilityOracle:
         # (coverage, cover mask, theta), best first
         self._thetas: list[tuple[int, int, np.ndarray]] = []
         self._witnesses: deque[int] = deque(maxlen=WITNESS_CACHE_SIZE)
-        self._lock = threading.Lock()
         self._evals = 0
         self._lp_solves = 0
         self._core_tests = 0
@@ -418,7 +461,7 @@ class FeasibilityOracle:
 
     @property
     def evaluations(self) -> int:
-        """Number of feasibility queries answered."""
+        """Number of feasibility queries answered through ``__call__``."""
         return self._evals
 
     @property
@@ -428,61 +471,95 @@ class FeasibilityOracle:
 
     @property
     def core_tests(self) -> int:
-        """Number of certified exchange-ascent solves attempted."""
+        """Number of queries sent to the certified exchange ascent."""
         return self._core_tests
 
     def reset_counters(self) -> None:
-        with self._lock:
-            self._evals = 0
-            self._lp_solves = 0
-            self._core_tests = 0
+        self._evals = 0
+        self._lp_solves = 0
+        self._core_tests = 0
 
     def __call__(self, subset) -> int:
         mask = as_mask(subset, self.n)
-        with self._lock:
-            self._evals += 1
+        self._evals += 1
+        verdict = self._cached(mask)
+        return self.resolve((mask,))[0] if verdict is None else verdict
+
+    def resolve(self, subsets) -> list[int]:
+        """Verdicts of many subsets, memoised but not counted as evaluations.
+
+        Each subset goes through the trivial, memo, core and theta layers in
+        turn; the rest are decided in chunks of at most ``EXCHANGE_BATCH``
+        distinct masks, each by one stacked exchange.  The verdicts are those
+        ``__call__`` returns, so a caller can resolve a batch ahead of the
+        calls it counts.
+        """
+        n = self.n
+        out: list[int] = []
+        pending: dict[int, list[int]] = {}
+        for subset in subsets:
+            mask = as_mask(subset, n)
+            verdict = self._cached(mask)
+            if verdict is None:
+                pending.setdefault(mask, []).append(len(out))
+                verdict = -1  # filled in when its chunk is settled
+            out.append(verdict)
+            if len(pending) == EXCHANGE_BATCH:
+                self._settle(pending, out)
+                pending = {}
+        if pending:
+            self._settle(pending, out)
+        return out
+
+    def _cached(self, mask: int) -> int | None:
+        """The verdict of the trivial, memo, core or theta layer, if any."""
         if mask.bit_count() <= self.p:
             return 0
         hit = self._memo.get(mask)
         if hit is not None:
             return hit
-        for w in tuple(self._witnesses):
+        for w in self._witnesses:
             if w & mask == w:
                 self._memo[mask] = 1
                 return 1
-        thetas = tuple(self._thetas)
-        for _, cover, _ in thetas:
+        for _, cover, _ in self._thetas:
             if mask & ~cover == 0:
                 self._memo[mask] = 0
                 return 0
-        rows = mask_rows(mask, self.n)
-        A = self.dataset.features[rows]
-        y = self.dataset.responses[rows]
-        with self._lock:
-            self._core_tests += 1
-        warm = thetas[0][2] if thetas else None
-        verdict, evidence = _exchange_feasibility(A, y, self.epsilon, warm)
-        if verdict == 1:
-            self._witnesses.appendleft(as_mask(rows[evidence], self.n))
-            self._memo[mask] = 1
-            return 1
-        if verdict == 0:
-            self._consider_theta(evidence, polish=False)
-            self._memo[mask] = 0
-            return 0
-        with self._lock:
-            self._lp_solves += 1
+        return None
+
+    def _settle(self, pending: dict[int, list[int]], out: list[int]) -> None:
+        """Decide the pending masks by one stacked exchange and fill ``out``."""
+        masks = list(pending)
+        members = masks_flags(masks, self.n)
+        feats, resp = self.dataset.features, self.dataset.responses
+        self._core_tests += len(masks)
+        warm = self._thetas[0][2] if self._thetas else None
+        answers = _exchange(feats, resp, members, self.epsilon, warm)
+        for mask, row, (verdict, evidence) in zip(masks, members, answers):
+            if verdict == 1:
+                self._witnesses.appendleft(as_mask(evidence, self.n))
+            elif verdict == 0:
+                self._consider_theta(evidence, polish=False)
+            else:
+                verdict = self._lp_verdict(np.flatnonzero(row))
+            self._memo[mask] = verdict
+            for pos in pending[mask]:
+                out[pos] = verdict
+
+    def _lp_verdict(self, rows: np.ndarray) -> int:
+        """Decide one query by a full-size LP and cache its certificate."""
+        self._lp_solves += 1
+        A, y = self.dataset.rows(rows)
         value, theta, resid = _chebyshev_lp(A, y)
         if value <= self.epsilon:
             # keep the raw fit too: it may cover a borderline point that the
             # coverage-polished variant gives up
             self._consider_theta(theta, polish=False)
             self._consider_theta(theta)
-            self._memo[mask] = 0
             return 0
         tau = ACTIVE_SET_RTOL * (1.0 + value)
         self._witnesses.appendleft(as_mask(rows[resid >= value - tau], self.n))
-        self._memo[mask] = 1
         return 1
 
     def _consider_theta(self, theta: np.ndarray, polish: bool = True) -> None:
@@ -520,12 +597,11 @@ class FeasibilityOracle:
                 if c2 > cov:
                     theta, cov, resid = refit, c2, r2
         cover = flags_mask(resid <= self.epsilon)
-        with self._lock:
-            if self._thetas and cov <= self._thetas[-1][0] and len(self._thetas) >= THETA_CACHE_SIZE:
-                return
-            self._thetas.append((cov, cover, theta))
-            self._thetas.sort(key=lambda e: -e[0])
-            del self._thetas[THETA_CACHE_SIZE :]
+        if self._thetas and cov <= self._thetas[-1][0] and len(self._thetas) >= THETA_CACHE_SIZE:
+            return
+        self._thetas.append((cov, cover, theta))
+        self._thetas.sort(key=lambda e: -e[0])
+        del self._thetas[THETA_CACHE_SIZE :]
 
     def truth_table(self, cap: int = cube.ENUMERATION_CAP) -> np.ndarray:
         """Exact truth table over all 2**n subsets.

@@ -442,6 +442,38 @@ def test_estimators_independent_of_worker_count():
     assert seq_h.scores == par_h.scores
 
 
+class _CallOnly:
+    """A feasibility oracle seen as a plain Boolean function: ``n`` and calls only."""
+
+    def __init__(self, oracle):
+        self.oracle, self.n = oracle, oracle.n
+
+    def __call__(self, bits):
+        return self.oracle(bits)
+
+
+@pytest.mark.parametrize("n, dim, outliers, q", [(20, 2, 6, 0.3), (80, 8, 10, 0.15)])
+def test_batched_estimators_match_one_query_at_a_time(n, dim, outliers, q):
+    from maxcon.datagen import GenSpec, gen_hyperplane_data
+    from maxcon.models import FeasibilityOracle
+
+    ds = gen_hyperplane_data(GenSpec(n=n, dim=dim, seed=4, outlier_count=outliers)).dataset
+    batched = FeasibilityOracle(ds, 0.1)
+    plain = _CallOnly(FeasibilityOracle(ds, 0.1))
+    support = tuple(range(1, n))
+    indices = support[: 2 * dim + 2]
+    for mode in ("paper", "unbiased"):
+        got = estimate_influence_bernoulli(batched, indices, q, 60, 3, mode=mode, support=support)
+        want = estimate_influence_bernoulli(plain, indices, q, 60, 3, mode=mode, support=support)
+        assert got.scores == want.scores
+    got = estimate_influence_hamming(batched, indices, dim + 2, 60, 3, support=support)
+    want = estimate_influence_hamming(plain, indices, dim + 2, 60, 3, support=support)
+    assert got.scores == want.scores
+    assert any(want.scores.values())
+    assert batched.evaluations == plain.oracle.evaluations
+    assert batched.core_tests > 0 and plain.oracle.core_tests > 0
+
+
 def test_estimated_ranking_matches_exact_on_toy_line_data():
     # eight 2d points, two planted outliers: with q = 1/2 and a modest h the
     # normalised estimates already rank the outliers on top, like the exact

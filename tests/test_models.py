@@ -1,11 +1,9 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxcon.cube import TabulatedFunction, Vertex, estimate_influence_bernoulli, mask_rows
+from maxcon.cube import TabulatedFunction, Vertex, as_mask, estimate_influence_bernoulli, mask_rows
 from maxcon.datagen import GenSpec, gen_hyperplane_data
 from maxcon.errors import BudgetError, ContractError
 from maxcon.models import (
@@ -162,6 +160,25 @@ def test_exchange_keeps_the_lp_off_the_oracle_hot_path():
     assert oracle.lp_solves == 0
 
 
+def test_exchange_stacks_the_oracle_hot_path(monkeypatch):
+    # one stacked exchange per chunk of queries: three solves per pivot
+    # round of the chunk, not three per pivot of every query
+    data = gen_hyperplane_data(GenSpec(n=80, dim=8, seed=11, outlier_count=10))
+    oracle = FeasibilityOracle(data.dataset, 0.1)
+    solve = np.linalg.solve
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    estimate_influence_bernoulli(oracle, range(80), 0.15, 100, 0)
+    assert oracle.core_tests > 0
+    assert calls <= oracle.core_tests // 4
+
+
 def degenerate_dataset(seed: int, p: int, duplicates: bool, collinear: bool):
     """Small dataset with duplicate rows, dependent feature columns and
     responses at exactly +-eps from a planted theta, plus a few outliers."""
@@ -197,6 +214,32 @@ def test_oracle_and_exchange_on_degenerate_data(seed, p, duplicates, collinear):
             assert_exchange_certificate(A, y, eps, answer, evidence)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_resolve_matches_lp_and_caches_checked_certificates(seed, p, duplicates, collinear):
+    ds, eps, rng = degenerate_dataset(seed, p, duplicates, collinear)
+    oracle = FeasibilityOracle(ds, eps)
+    subsets = [
+        np.sort(rng.choice(ds.n, int(rng.integers(p + 1, ds.n + 1)), replace=False))
+        for _ in range(150)
+    ]
+    verdicts = oracle.resolve([as_mask(rows, ds.n) for rows in subsets])
+    assert oracle.evaluations == 0
+    for rows, verdict in zip(subsets, verdicts):
+        value, _, _ = _chebyshev_lp(*ds.rows(rows))
+        if abs(value - eps) > 1e-9:
+            assert verdict == int(value > eps)
+        assert oracle(rows) == verdict
+    for witness in oracle._witnesses:
+        # an LP fallback at a tie keeps a core whose own value can read eps
+        value, _, _ = _chebyshev_lp(*ds.rows(mask_rows(witness, ds.n)))
+        assert value > eps - 1e-9
+    for coverage, cover, theta in oracle._thetas:
+        A, y = ds.rows(mask_rows(cover, ds.n))
+        assert np.abs(A @ theta - y).max() <= eps
+        assert coverage == cover.bit_count()
+
+
 def test_chebyshev_combos_match_lp():
     rng = np.random.default_rng(3)
     n, p = 12, 2
@@ -212,6 +255,17 @@ def test_chebyshev_combos_match_lp():
         assert values[k] == pytest.approx(ref, abs=1e-9)
         achieved = np.abs(feats[rows] @ thetas[k] - resp[rows]).max()
         assert achieved == pytest.approx(values[k], abs=1e-9)
+
+
+def test_chebyshev_combos_underflowing_determinant():
+    # every sign-pattern determinant underflows to 0.0, but only one of the
+    # 16 systems is singular; one of the others fits within 0.0342
+    rng = np.random.default_rng(0)
+    A = np.column_stack([rng.uniform(-1, 1, (5, 3)) * 1e-120, np.ones(5)])
+    y = rng.uniform(-1, 1, 5)
+    values, thetas = _chebyshev_combos(A, y, np.arange(5)[None])
+    assert values[0] <= 0.0342
+    assert np.abs(A @ thetas[0] - y).max() == values[0]
 
 
 def test_chebyshev_combos_degenerate_rows():
@@ -336,17 +390,17 @@ def test_oracle_monotonicity_sampled_pairs():
     assert np.all(table[masks] <= table[supers])
 
 
-def test_oracle_thread_safety_and_determinism():
+def test_oracle_determinism_across_call_and_resolve():
     data = gen_hyperplane_data(GenSpec(n=12, dim=2, outlier_count=4, seed=7))
     ds = data.dataset
-    sequential = FeasibilityOracle(ds, 0.1)
-    masks = list(np.random.default_rng(2).integers(0, 1 << 12, size=600))
-    want = [sequential(int(m)) for m in masks]
-    concurrent = FeasibilityOracle(ds, 0.1)
-    with ThreadPoolExecutor(max_workers=6) as pool:
-        got = list(pool.map(lambda m: concurrent(int(m)), masks))
-    assert got == want
-    assert concurrent.evaluations == len(masks)
+    masks = [int(m) for m in np.random.default_rng(2).integers(0, 1 << 12, size=600)]
+    want = [FeasibilityOracle(ds, 0.1)(m) for m in masks]
+    assert [FeasibilityOracle(ds, 0.1)(m) for m in masks] == want
+    batched = FeasibilityOracle(ds, 0.1)
+    assert batched.resolve(masks) == want
+    assert batched.evaluations == 0
+    assert [batched(m) for m in masks] == want
+    assert batched.evaluations == len(masks)
 
 
 # ---------------------------------------------------------------------------
