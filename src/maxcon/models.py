@@ -48,6 +48,9 @@ WITNESS_CACHE_SIZE = 128
 # Most oracle queries decided by one stacked exchange; bounds its memory.
 EXCHANGE_BATCH = 128
 
+# Most (p+1)-subsets fitted by one stacked kernel call; bounds its memory.
+COMBO_CHUNK = 20_000
+
 
 # --------------------------------------------------------------------------
 # Domain types
@@ -187,6 +190,37 @@ def _stacked_solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return x, ok
 
 
+def _reference(
+    a_ref: np.ndarray, y_ref: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimax fits of a stack of (p+1)-point references (the Chebyshev kernel).
+
+    For each reference (a_ref (B, p+1, p), y_ref (B, p+1)) one solve gives
+    the null vector v of A_R transposed, normalised by v_0 = 1, and the
+    reference's minimax value h = |v . y_R| / ||v||_1 (de la Vallee Poussin).
+    With sigma = sign(v) * sign(v . y_R), the levelled solve
+    [A_R | -sigma] [theta; t] = y_R gives t = -h, so reference point i has
+    residual a_i . theta - y_i = -sigma_i h.  Returns the multipliers
+    |v| / ||v||_1, h, sigma, theta and whether both solves were nonsingular
+    (a zero ``slogdet`` sign marks a singular one).
+    """
+    B, k, p = a_ref.shape
+    square = np.zeros((B, k, k))
+    square[:, :, :p] = a_ref
+    square[:, 0, p] = 1.0
+    unit = np.zeros((B, k))
+    unit[:, p] = 1.0
+    nullvec, ok = _stacked_solve(np.swapaxes(square, 1, 2), unit)
+    scale = np.abs(nullvec).sum(axis=1)
+    ok &= np.isfinite(scale) & (scale >= 1e-12)
+    scale = np.where(ok, scale, 1.0)
+    corr = np.einsum("bk,bk->b", nullvec, y_ref)
+    sigma = np.sign(nullvec) * np.where(corr >= 0, 1.0, -1.0)[:, None]
+    square[:, :, p] = -sigma
+    sol, solved = _stacked_solve(square, y_ref)
+    return np.abs(nullvec) / scale[:, None], np.abs(corr) / scale, sigma, sol[:, :p], ok & solved
+
+
 def _exchange(
     A: np.ndarray, y: np.ndarray, members: np.ndarray, eps: float, theta0: np.ndarray | None
 ) -> list[tuple[int | None, np.ndarray | None]]:
@@ -194,20 +228,16 @@ def _exchange(
 
     Row b of the boolean ``members`` (B, m), m being the number of rows of
     A, selects query b's rows, more than p of them.  Each query maintains a
-    reference of p+1 of its rows.  The reference's own minimax value
-    h = |v . y_R| / ||v||_1 (v spanning the null space of A_R transposed) is
-    a lower bound for the whole query, so h > eps (by a margin above
-    rounding, see TIE_RTOL) certifies infeasibility; a levelled solution
-    whose residuals all fit within eps certifies feasibility.  Otherwise the
-    worst point enters the reference by a dual ratio test and h ascends
-    (Stiefel / de la Vallee Poussin exchange).  The open queries' references
-    form a (B, p+1, p) stack, so each pivot round is one stacked null-vector
-    solve, one levelled solve and one ratio-test solve.
-
-    Sign convention: with sigma = sign(v) * sign(v . y_R), the levelled solve
-    [A_R | -sigma] [theta; t] = y_R gives t = -h, so reference point i has
-    residual a_i . theta - y_i = -sigma_i h.  The ratio test runs over the
-    dual columns of these actual residual signs, -sigma_i a_i.
+    reference of p+1 of its rows, whose minimax value h and levelled fit
+    come from ``_reference``.  h is a lower bound for the whole query, so
+    h > eps (by a margin above rounding, see TIE_RTOL) certifies
+    infeasibility; a levelled solution whose residuals all fit within eps
+    certifies feasibility.  Otherwise the worst point enters the reference
+    by a dual ratio test and h ascends (Stiefel / de la Vallee Poussin
+    exchange).  The open queries' references form a (B, p+1, p) stack, so
+    each pivot round is one ``_reference`` call and one ratio-test solve.
+    The ratio test runs over the dual columns of the reference's actual
+    residual signs, -sigma_i a_i.
 
     The reference is kept sorted, so even the rounded h is a function of the
     reference set alone: a strictly rising h never revisits a reference, and
@@ -233,42 +263,28 @@ def _exchange(
     ref = np.sort(np.argpartition(start, cut, axis=1)[:, cut:], axis=1)
     ids = np.arange(B)
     h_prev = np.full(B, -1.0)
-    unit = np.zeros((B, k))
-    unit[:, p] = 1.0
     rounding = (p + 2) * _UNIT_ROUNDOFF
     slack_a, slack_y = rounding * np.abs(A).T, rounding * np.abs(y)
     while len(ids):
-        # null vector of each reference feature block's transpose
         a_ref = A[ref]
         y_ref = y[ref]
-        square = np.zeros((len(ids), k, k))
-        square[:, :, :p] = a_ref
-        square[:, 0, p] = 1.0
-        nullvec, ok = _stacked_solve(np.swapaxes(square, 1, 2), unit[: len(ids)])
-        scale = np.abs(nullvec).sum(axis=1)
-        ok &= np.isfinite(scale) & (scale >= 1e-12)
-        corr = np.einsum("bk,bk->b", nullvec, y_ref)
-        h = np.abs(corr) / np.where(ok, scale, 1.0)
+        lam, h, sigma, theta, ok = _reference(a_ref, y_ref)
         infeasible = ok & (h > eps + TIE_RTOL * (eps + np.abs(y_ref).max(axis=1)))
         for j in np.flatnonzero(infeasible):
             out[ids[j]] = (1, ref[j])
-        sigma = np.sign(nullvec) * np.where(corr >= 0, 1.0, -1.0)[:, None]
         go = ok & ~infeasible & (h > h_prev) & (sigma != 0).all(axis=1)
         if not go.any():
             break
-        ids, ref, a_ref, y_ref, h, sigma = ids[go], ref[go], a_ref[go], y_ref[go], h[go], sigma[go]
-        lam = np.abs(nullvec[go]) / scale[go][:, None]
-        # levelled solve, then the residuals of all the query's rows
-        square = square[go]
-        square[:, :, p] = -sigma
-        sol, ok = _stacked_solve(square, y_ref)
-        theta = sol[:, :p]
+        ids, ref, a_ref, h, lam, sigma, theta = (
+            ids[go], ref[go], a_ref[go], h[go], lam[go], sigma[go], theta[go]
+        )
+        # the residuals of all the query's rows under the levelled fit
         resid = theta @ A.T - y
         inside = members[ids]
         size = np.where(inside, np.abs(resid), -1.0)
         rows = np.arange(len(ids))
         w = np.argmax(size, axis=1)
-        fits = ok & (size[rows, w] <= eps)
+        fits = size[rows, w] <= eps
         if fits.any():
             # the residuals' rounding bound must fit too: a near-singular
             # reference yields a huge theta whose residuals are noise
@@ -280,7 +296,7 @@ def _exchange(
         # dual ratio test: bring w in, drop the reference member that keeps
         # the multipliers nonnegative; the columns carry each point's
         # residual sign, -sigma for the reference
-        go = ok & ~fits
+        go = ~fits
         if not go.any():
             break
         ids, ref, a_ref, h, lam, sigma = ids[go], ref[go], a_ref[go], h[go], lam[go], sigma[go]
@@ -297,15 +313,6 @@ def _exchange(
         ref.sort(axis=1)
         ids, ref, h_prev = ids[ok], ref[ok], h[ok]
     return out
-
-
-def _exchange_feasibility(
-    A: np.ndarray, y: np.ndarray, eps: float, theta0: np.ndarray | None
-) -> tuple[int | None, np.ndarray | None]:
-    """``_exchange`` on the single query of all rows of (A, y)."""
-    if A.shape[0] < A.shape[1] + 1:
-        return None, None
-    return _exchange(A, y, np.ones((1, A.shape[0]), dtype=bool), eps, theta0)[0]
 
 
 def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> MinimaxFit:
@@ -349,61 +356,38 @@ def basis(dataset: LinearDataset, subset: Iterable[int], epsilon: float) -> tupl
 # --------------------------------------------------------------------------
 
 
-def _sign_patterns(m: int) -> np.ndarray:
-    """All sign vectors of length m with leading +1, shape (2**(m-1), m)."""
-    pats = np.arange(1 << (m - 1))
-    signs = np.ones((len(pats), m))
-    for i in range(1, m):
-        signs[:, i] = 1.0 - 2.0 * ((pats >> (i - 1)) & 1)
-    return signs
-
-
 def _chebyshev_combos(
     A: np.ndarray, y: np.ndarray, combos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev values and parameters for many (p+1)-point subsets at once.
 
-    For p + 1 points the optimum is attained at a vertex where every point's
-    residual equals +-t, so solving the square system [A | -s] x = y for each
-    sign pattern s and taking the candidate with the smallest verified maximum
-    residual recovers the exact fit.  Exactly singular systems (a zero
-    ``slogdet`` sign; ``det`` itself underflows to 0.0 for tiny nonsingular
-    ones) are skipped via an identity substitute (their verified residuals
-    never win), and subsets singular under every pattern fall back to the LP.
+    Each subset is one reference of ``_reference``, the exchange's kernel,
+    and its value is the largest residual the levelled theta achieves, so
+    the returned theta attains the returned value.  The kernel's h is a
+    lower bound on the subset's value and the achieved residual plus its
+    rounding bound an upper bound; a subset whose solves are singular, or
+    whose two bounds differ by more than the tie margin ``TIE_RTOL``
+    (rank-deficient features make the levelled solve ill-conditioned), is
+    fitted by the LP instead.  Subsets are processed ``COMBO_CHUNK`` at a
+    time, a bound on memory.
     """
-    S, m = combos.shape
-    p = m - 1
-    signs = _sign_patterns(m)
-    P = signs.shape[0]
-    values = np.empty(S)
-    thetas = np.empty((S, p))
-    chunk = max(1, int(2_000_000 // max(P * m * m, 1)))
-    for lo in range(0, S, chunk):
-        sel = combos[lo : lo + chunk]
-        A_sub = A[sel]  # (s, m, p)
-        y_sub = y[sel]  # (s, m)
-        s = sel.shape[0]
-        M = np.empty((s, P, m, m))
-        M[..., :p] = A_sub[:, None, :, :]
-        M[..., p] = -signs[None, :, :]
-        # a zero pivot (sign 0) is exactly what makes np.linalg.solve raise
-        singular = np.linalg.slogdet(M)[0] == 0.0
-        if singular.any():
-            M[singular] = np.eye(m)
-        x = np.linalg.solve(M, np.broadcast_to(y_sub[:, None, :, None], (s, P, m, 1)))
-        th = x[..., :p, 0]  # (s, P, p)
-        pred = np.einsum("smp,sKp->sKm", A_sub, th)
-        achieved = np.abs(pred - y_sub[:, None, :]).max(axis=-1)
-        achieved = np.where(np.isnan(achieved) | singular, np.inf, achieved)
-        best = np.argmin(achieved, axis=1)
-        rows = np.arange(s)
-        values[lo : lo + s] = achieved[rows, best]
-        thetas[lo : lo + s] = th[rows, best]
-        degenerate = np.flatnonzero(singular.all(axis=1))
-        for d in degenerate:
-            val, theta, _ = _chebyshev_lp(A_sub[d], y_sub[d])
-            values[lo + d] = val
-            thetas[lo + d] = theta
+    p = combos.shape[1] - 1
+    values = np.empty(len(combos))
+    thetas = np.empty((len(combos), p))
+    rounding = (p + 2) * _UNIT_ROUNDOFF
+    for lo in range(0, len(combos), COMBO_CHUNK):
+        sel = combos[lo : lo + COMBO_CHUNK]
+        a_ref, y_ref = A[sel], y[sel]
+        _, h, _, theta, ok = _reference(a_ref, y_ref)
+        fitted = np.einsum("smp,sp->sm", a_ref, theta)
+        achieved = np.abs(fitted - y_ref).max(axis=1)
+        slack = rounding * (np.einsum("smp,sp->sm", np.abs(a_ref), np.abs(theta)) + np.abs(y_ref))
+        gap = np.abs(achieved - h) + slack.max(axis=1)
+        exact = ok & (gap <= TIE_RTOL * (h + np.abs(y_ref).max(axis=1)))
+        values[lo : lo + len(sel)] = achieved
+        thetas[lo : lo + len(sel)] = theta
+        for d in np.flatnonzero(~exact):
+            values[lo + d], thetas[lo + d], _ = _chebyshev_lp(a_ref[d], y_ref[d])
     return values, thetas
 
 
@@ -548,7 +532,11 @@ class FeasibilityOracle:
                 out[pos] = verdict
 
     def _lp_verdict(self, rows: np.ndarray) -> int:
-        """Decide one query by a full-size LP and cache its certificate."""
+        """Decide one query by a full-size LP and cache its certificate.
+
+        An infeasible verdict within the tie margin ``TIE_RTOL`` of eps stands
+        for the query alone; its active set is not cached as a core.
+        """
         self._lp_solves += 1
         A, y = self.dataset.rows(rows)
         value, theta, resid = _chebyshev_lp(A, y)
@@ -558,8 +546,9 @@ class FeasibilityOracle:
             self._consider_theta(theta, polish=False)
             self._consider_theta(theta)
             return 0
-        tau = ACTIVE_SET_RTOL * (1.0 + value)
-        self._witnesses.appendleft(as_mask(rows[resid >= value - tau], self.n))
+        if value > self.epsilon + TIE_RTOL * (self.epsilon + np.abs(y).max()):
+            tau = ACTIVE_SET_RTOL * (1.0 + value)
+            self._witnesses.appendleft(as_mask(rows[resid >= value - tau], self.n))
         return 1
 
     def _consider_theta(self, theta: np.ndarray, polish: bool = True) -> None:

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import cube
-from .cube import Vertex
+from .cube import Vertex, _check_q
 from .errors import ContractError
 
 
@@ -220,11 +220,6 @@ def enumerate_upper_zeros(f, cap: int = cube.ENUMERATION_CAP) -> tuple[Vertex, .
 # --------------------------------------------------------------------------
 # Closed-form influences
 # --------------------------------------------------------------------------
-
-
-def _check_q(q) -> None:
-    if not 0 < q < 1:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
 
 
 def _level_term(coef: int, n: int, p: int, q):

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxcon.cube import TabulatedFunction, Vertex, as_mask, estimate_influence_bernoulli, mask_rows
@@ -12,7 +14,7 @@ from maxcon.models import (
     ModelParams,
     _chebyshev_combos,
     _chebyshev_lp,
-    _exchange_feasibility,
+    _exchange,
     basis,
     exact_maxcon_bases,
     exact_maxcon_enumerate,
@@ -21,6 +23,7 @@ from maxcon.models import (
     residual,
     save_dataset_csv,
 )
+from maxcon.solvers import solve
 from maxcon.theory import StructureSpec, make_structured_bf
 
 from util import chebyshev_probe_value
@@ -147,7 +150,7 @@ def test_exchange_agrees_with_lp_on_random_subsets():
             rows = rng.choice(n, m, replace=False)
             A, y = feats[rows], resp[rows]
             value, _, _ = _chebyshev_lp(A, y)
-            verdict, evidence = _exchange_feasibility(A, y, 0.25, None)
+            verdict, evidence = _exchange(A, y, np.ones((1, len(y)), bool), 0.25, None)[0]
             assert verdict == int(value > 0.25)
             assert_exchange_certificate(A, y, 0.25, verdict, evidence)
 
@@ -209,13 +212,14 @@ def test_oracle_and_exchange_on_degenerate_data(seed, p, duplicates, collinear):
         verdict = oracle(rows)
         if abs(value - eps) > 1e-9:
             assert verdict == int(value > eps)
-        answer, evidence = _exchange_feasibility(A, y, eps, None)
+        answer, evidence = _exchange(A, y, np.ones((1, len(y)), bool), eps, None)[0]
         if answer is not None:
             assert_exchange_certificate(A, y, eps, answer, evidence)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans(), st.booleans())
 @settings(max_examples=40, deadline=None)
+@example(1, 2, False, False)  # LP fallbacks at a tie, whose cores read exactly eps
 def test_resolve_matches_lp_and_caches_checked_certificates(seed, p, duplicates, collinear):
     ds, eps, rng = degenerate_dataset(seed, p, duplicates, collinear)
     oracle = FeasibilityOracle(ds, eps)
@@ -231,13 +235,81 @@ def test_resolve_matches_lp_and_caches_checked_certificates(seed, p, duplicates,
             assert verdict == int(value > eps)
         assert oracle(rows) == verdict
     for witness in oracle._witnesses:
-        # an LP fallback at a tie keeps a core whose own value can read eps
         value, _, _ = _chebyshev_lp(*ds.rows(mask_rows(witness, ds.n)))
-        assert value > eps - 1e-9
+        assert value > eps
     for coverage, cover, theta in oracle._thetas:
         A, y = ds.rows(mask_rows(cover, ds.n))
         assert np.abs(A @ theta - y).max() <= eps
         assert coverage == cover.bit_count()
+
+
+def sign_pattern_combos(A, y, combos):
+    """Reference (p+1)-subset Chebyshev fits: solve [A | -s] x = y for every
+    sign pattern s with s_0 = +1 and keep the smallest achieved residual."""
+    S, m = combos.shape
+    p = m - 1
+    pats = np.arange(1 << p)
+    signs = np.ones((len(pats), m))
+    for i in range(1, m):
+        signs[:, i] = 1.0 - 2.0 * ((pats >> (i - 1)) & 1)
+    A_sub, y_sub = A[combos], y[combos]
+    M = np.empty((S, len(pats), m, m))
+    M[..., :p] = A_sub[:, None, :, :]
+    M[..., p] = -signs[None, :, :]
+    singular = np.linalg.slogdet(M)[0] == 0.0
+    M[singular] = np.eye(m)
+    x = np.linalg.solve(M, np.broadcast_to(y_sub[:, None, :, None], (S, len(pats), m, 1)))
+    th = x[..., :p, 0]
+    pred = np.einsum("smp,sKp->sKm", A_sub, th)
+    achieved = np.abs(pred - y_sub[:, None, :]).max(axis=-1)
+    achieved = np.where(np.isnan(achieved) | singular, np.inf, achieved)
+    best = np.argmin(achieved, axis=1)
+    rows = np.arange(S)
+    values, thetas = achieved[rows, best], th[rows, best]
+    for d in np.flatnonzero(singular.all(axis=1)):
+        values[d], thetas[d], _ = _chebyshev_lp(A_sub[d], y_sub[d])
+    return values, thetas
+
+
+@pytest.mark.parametrize("p,n", [(2, 25), (3, 16), (4, 14), (5, 12), (6, 12), (7, 12), (8, 12)])
+def test_chebyshev_combos_equal_sign_pattern_reference(p, n):
+    # in general position the kernel's sigma is the winning sign pattern up to
+    # a common sign, which LU solves to the same theta bit for bit
+    for seed in range(2):
+        ds = gen_hyperplane_data(GenSpec(n=n, dim=p, outlier_count=n // 4, seed=seed)).dataset
+        combos = np.array(list(itertools.combinations(range(n), p + 1)))
+        values, thetas = _chebyshev_combos(ds.features, ds.responses, combos)
+        want_values, want_thetas = sign_pattern_combos(ds.features, ds.responses, combos)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(thetas, want_thetas)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_chebyshev_combos_match_lp_on_degenerate_data(seed, p, duplicates, collinear):
+    ds, _, rng = degenerate_dataset(seed, p, duplicates, collinear)
+    combos = np.array([np.sort(rng.choice(ds.n, p + 1, replace=False)) for _ in range(60)])
+    values, thetas = _chebyshev_combos(ds.features, ds.responses, combos)
+    for rows, value, theta in zip(combos, values, thetas):
+        A, y = ds.rows(rows)
+        assert value == pytest.approx(_chebyshev_lp(A, y)[0], abs=1e-9)
+        assert np.abs(A @ theta - y).max() == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def test_truth_table_matches_lp_on_collinear_features():
+    ds, eps, _ = degenerate_dataset(0, 3, False, True)
+    table = FeasibilityOracle(ds, eps).truth_table()
+    for rows in itertools.combinations(range(ds.n), 4):
+        value, _, _ = _chebyshev_lp(*ds.rows(rows))
+        if abs(value - eps) > 1e-9:
+            assert table[as_mask(rows, ds.n)] == int(value > eps)
+
+
+def test_exact_solve_on_collinear_features_is_verified():
+    ds, eps, _ = degenerate_dataset(1, 3, False, True)
+    result = solve(ds, "exact", eps)
+    assert result.consensus_size == len(result.inlier_set) > 0
+    assert minimax_fit(ds, result.inlier_set).value <= eps
 
 
 def test_chebyshev_combos_match_lp():
@@ -245,8 +317,6 @@ def test_chebyshev_combos_match_lp():
     n, p = 12, 2
     feats = np.column_stack([rng.uniform(-5, 5, n), np.ones(n)])
     resp = feats @ np.array([0.4, 0.1]) + rng.uniform(-0.5, 0.5, n)
-    import itertools
-
     combos = np.array(list(itertools.combinations(range(n), p + 1)))
     values, thetas = _chebyshev_combos(feats, resp, combos)
     for k in range(0, len(combos), 37):
@@ -258,8 +328,8 @@ def test_chebyshev_combos_match_lp():
 
 
 def test_chebyshev_combos_underflowing_determinant():
-    # every sign-pattern determinant underflows to 0.0, but only one of the
-    # 16 systems is singular; one of the others fits within 0.0342
+    # the determinants of both reference solves underflow to 0.0, but
+    # neither system is singular, and the levelled fit is within 0.0342
     rng = np.random.default_rng(0)
     A = np.column_stack([rng.uniform(-1, 1, (5, 3)) * 1e-120, np.ones(5)])
     y = rng.uniform(-1, 1, 5)
