@@ -143,6 +143,12 @@ def flags_mask(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def flags_masks(flags: np.ndarray) -> list[int]:
+    """The bitmask of each row of a 2d bool array; the inverse of ``masks_flags``."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 # --------------------------------------------------------------------------
 # Measures
 # --------------------------------------------------------------------------
@@ -428,40 +434,39 @@ def exact_influence_report(
     )
 
 
-def _flip_value(f, bits: int, fb: int, i: int) -> int:
-    """f at the i-flip of bits, using monotonicity to skip implied calls.
-
-    Dropping a bit from a 0-vertex stays 0; adding a bit to a 1-vertex stays 1.
-    """
-    if fb == 0 and (bits >> i) & 1:
-        return 0
-    if fb == 1 and not (bits >> i) & 1:
-        return 1
-    return f(bits ^ (1 << i))
-
-
-def _sampled_scores(f, indices: Iterable[int], draw, one_index) -> dict:
+def _sampled_scores(f, indices: Iterable[int], draw, score) -> dict:
     """Scores of the indices in order, from the samples ``draw`` makes for each.
 
-    Every index's samples are drawn first.  A function with a
-    ``resolve(masks)`` method then receives every drawn base vertex in one
-    call, and every flip that ``_flip_value`` cannot imply in a second, so
-    that ``one_index``'s own calls of f find their answers ready: the samples
-    of one estimate do not depend on each other.
+    For each index and sample b, f(b) is called, then f at the i-flip of b
+    unless monotonicity implies it: dropping a bit from a 0-vertex stays 0,
+    and adding a bit to a 1-vertex stays 1.  ``score(i, samples, fb, fc)``
+    turns the two value lists into the index's score.  Every index's samples
+    are drawn first.  A function with a ``resolve(masks)`` method then
+    receives every drawn base vertex in one call, and every open flip in a
+    second, so that the calls of f find their answers ready: the samples of
+    one estimate do not depend on each other.
     """
     idx = [operator.index(i) for i in indices]
     drawn = [draw(i) for i in idx]
     resolve = getattr(f, "resolve", None)
     if resolve is not None:
         values = iter(resolve([bits for samples in drawn for bits in samples]))
-        flips = []
-        for i, samples in zip(idx, drawn):
-            for bits in samples:
-                # open: a 0-vertex gaining bit i, or a 1-vertex losing it
-                if next(values) == (bits >> i) & 1:
-                    flips.append(bits ^ (1 << i))
-        resolve(flips)
-    return dict(map(one_index, idx, drawn))
+        resolve([
+            bits ^ (1 << i)
+            for i, samples in zip(idx, drawn)
+            for bits in samples
+            if next(values) == (bits >> i) & 1
+        ])
+    scores = {}
+    for i, samples in zip(idx, drawn):
+        fb, fc = [], []
+        for bits in samples:
+            b = f(bits)
+            fb.append(b)
+            # open: a 0-vertex gaining bit i, or a 1-vertex losing it
+            fc.append(f(bits ^ (1 << i)) if b == (bits >> i) & 1 else b)
+        scores[i] = score(i, samples, fb, fc)
+    return scores
 
 
 def _support_positions(n: int, support: Iterable[int] | None) -> tuple[list[int], dict]:
@@ -525,26 +530,22 @@ def estimate_influence_bernoulli(
         gen = substream(seed, _position(positions, i))
         flags = np.zeros((half, n), dtype=bool)
         flags[:, sup] = gen.random((half, len(sup))) < q
-        packed = np.packbits(flags, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return flags_masks(flags)
 
-    def one_index(i: int, samples: list[int]) -> tuple[int, float]:
+    def score(i: int, samples: list[int], fb: list[int], fc: list[int]) -> float:
         acc = 0.0
-        for bits in samples:
-            fb = f(bits)
-            fc = _flip_value(f, bits, fb, i)
+        for bits, b, c in zip(samples, fb, fc):
             bit_i = (bits >> i) & 1
-            flipped = bits ^ (1 << i)
             chi_b = q_minus if bit_i else q_plus
             chi_c = q_plus if bit_i else q_minus
             if mode == "paper":
-                acc += fb * chi_b * weights[bits.bit_count()]
-                acc += fc * chi_c * weights[flipped.bit_count()]
+                acc += b * chi_b * weights[bits.bit_count()]
+                acc += c * chi_c * weights[(bits ^ (1 << i)).bit_count()]
             else:
-                acc += fb * chi_b + fc * chi_c
-        return i, (scale * acc) + 0.0
+                acc += b * chi_b + c * chi_c
+        return (scale * acc) + 0.0
 
-    scores = _sampled_scores(f, indices, draw, one_index)
+    scores = _sampled_scores(f, indices, draw, score)
     base_seed = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     return InfluenceReport(
         measure="bernoulli",
@@ -584,25 +585,19 @@ def estimate_influence_hamming(
     if h < 1:
         raise ValueError(f"sample count h must be at least 1, got {h}")
 
+    cols = np.array(sup, dtype=np.intp)
+
     def draw(i: int) -> list[int]:
         gen = substream(seed, _position(positions, i))
-        samples = []
-        for _ in range(h):
-            bits = 0
-            for j in gen.choice(len(sup), size=k, replace=False):
-                bits |= 1 << sup[j]
-            samples.append(bits)
-        return samples
+        picks = np.array([gen.choice(len(sup), size=k, replace=False) for _ in range(h)])
+        flags = np.zeros((h, n), dtype=bool)
+        flags[np.arange(h)[:, None], cols[picks]] = True
+        return flags_masks(flags)
 
-    def one_index(i: int, samples: list[int]) -> tuple[int, float]:
-        hits = 0
-        for bits in samples:
-            fb = f(bits)
-            if fb != _flip_value(f, bits, fb, i):
-                hits += 1
-        return i, hits / h
+    def score(i: int, samples: list[int], fb: list[int], fc: list[int]) -> float:
+        return sum(b != c for b, c in zip(fb, fc)) / h
 
-    scores = _sampled_scores(f, indices, draw, one_index)
+    scores = _sampled_scores(f, indices, draw, score)
     base_seed = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     return InfluenceReport(
         measure="hamming", q_or_level=int(k), h=h, seed=base_seed, scores=scores, n=n

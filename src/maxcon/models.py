@@ -242,10 +242,11 @@ def _exchange(
     The reference is kept sorted, so even the rounded h is a function of the
     reference set alone: a strictly rising h never revisits a reference, and
     the ascent ends without an iteration cap.  A query gets (None, None)
-    instead of a guess when a solve turns singular or h fails to strictly
-    increase (a degenerate reference), or when a fit within eps is not
-    certain beyond the rounding of its residuals, so every produced answer
-    carries an explicit certificate: (1, reference rows of A) or (0, theta).
+    instead of a guess when a solve turns singular, h fails to strictly
+    increase or the worst point is already in the reference (a degenerate
+    reference), or when a fit within eps is not certain beyond the rounding
+    of its residuals, so every produced answer carries an explicit
+    certificate: (1, reference rows of A) or (0, theta).
     The initial reference is each query's p+1 largest residuals under theta0,
     or under its own least-squares fit when theta0 is None.
     """
@@ -307,7 +308,9 @@ def _exchange(
         enter[:, :p] = sign_w[:, None] * A[w]
         mu, ok = _stacked_solve(basis, enter)
         positive = mu > 1e-12
-        ok &= positive.any(axis=1)
+        # a worst point already in the reference means an inaccurate levelled
+        # fit; exchanging it in would repeat a row
+        ok &= positive.any(axis=1) & (ref != w[:, None]).all(axis=1)
         ratios = np.where(positive, lam / np.where(positive, mu, 1.0), np.inf)
         ref[np.arange(len(ids)), np.argmin(ratios, axis=1)] = w
         ref.sort(axis=1)
@@ -403,11 +406,11 @@ class FeasibilityOracle:
     Subsets of size <= p return 0 without solving.  Results are memoised, and
     three exact certificate layers answer most queries without a full LP:
 
-    - feasibility: cached parameter vectors (kept ranked by how many points
-      of the whole dataset they cover, and polished by re-fits on their own
-      consensus), each with its cover mask of the points within epsilon; a
-      query inside a cover mask is feasible with that vector as certificate;
-    - infeasibility: cached small infeasible cores contained in the query;
+    - feasibility: cached parameter vectors, kept ranked by how many points
+      of the whole dataset they cover, each with its cover mask of the points
+      within epsilon; a query inside a cover mask is feasible with that
+      vector as certificate;
+    - infeasibility: cached infeasible exchange references inside the query;
     - either: the certified exchange ascent, whose reference value rises
       strictly until it ends with an explicit infeasible core or an explicit
       within-epsilon parameter vector.
@@ -524,7 +527,7 @@ class FeasibilityOracle:
             if verdict == 1:
                 self._witnesses.appendleft(as_mask(evidence, self.n))
             elif verdict == 0:
-                self._consider_theta(evidence, polish=False)
+                self._consider_theta(evidence)
             else:
                 verdict = self._lp_verdict(np.flatnonzero(row))
             self._memo[mask] = verdict
@@ -532,63 +535,25 @@ class FeasibilityOracle:
                 out[pos] = verdict
 
     def _lp_verdict(self, rows: np.ndarray) -> int:
-        """Decide one query by a full-size LP and cache its certificate.
-
-        An infeasible verdict within the tie margin ``TIE_RTOL`` of eps stands
-        for the query alone; its active set is not cached as a core.
-        """
+        """Decide one query by a full-size LP, caching its fit but no core."""
         self._lp_solves += 1
-        A, y = self.dataset.rows(rows)
-        value, theta, resid = _chebyshev_lp(A, y)
-        if value <= self.epsilon:
-            # keep the raw fit too: it may cover a borderline point that the
-            # coverage-polished variant gives up
-            self._consider_theta(theta, polish=False)
-            self._consider_theta(theta)
-            return 0
-        if value > self.epsilon + TIE_RTOL * (self.epsilon + np.abs(y).max()):
-            tau = ACTIVE_SET_RTOL * (1.0 + value)
-            self._witnesses.appendleft(as_mask(rows[resid >= value - tau], self.n))
-        return 1
+        value, theta, _ = _chebyshev_lp(*self.dataset.rows(rows))
+        if value > self.epsilon:
+            return 1
+        self._consider_theta(theta)
+        return 0
 
-    def _consider_theta(self, theta: np.ndarray, polish: bool = True) -> None:
+    def _consider_theta(self, theta: np.ndarray) -> None:
         """Cache a feasibility certificate, ranked by dataset coverage.
 
-        When polishing, least-squares re-fits on the parameters' own
-        consensus set lift a subset-tight fit toward global coverage, and a
-        final minimax re-fit near the coverage frontier centres the residual
-        band.  Unpolished fits are kept as well: a tilted fit that absorbs a
-        borderline point covers future queries containing that point.
+        A full cache admits only a fit that covers more points than its worst.
         """
-        feats, resp = self.dataset.features, self.dataset.responses
-        resid = np.abs(feats @ theta - resp)
-        cov = int((resid <= self.epsilon).sum())
-        if len(self._thetas) >= THETA_CACHE_SIZE and cov < self._thetas[-1][0] - 5:
+        resid = np.abs(self.dataset.features @ theta - self.dataset.responses)
+        inside = resid <= self.epsilon
+        cov = int(inside.sum())
+        if len(self._thetas) >= THETA_CACHE_SIZE and cov <= self._thetas[-1][0]:
             return
-        if polish:
-            for _ in range(2):
-                members = resid <= self.epsilon
-                if members.sum() <= self.p:
-                    break
-                refit, *_ = np.linalg.lstsq(feats[members], resp[members], rcond=None)
-                r2 = np.abs(feats @ refit - resp)
-                c2 = int((r2 <= self.epsilon).sum())
-                if c2 > cov:
-                    theta, cov, resid = refit, c2, r2
-                else:
-                    break
-            best_cov = self._thetas[0][0] if self._thetas else 0
-            if cov >= best_cov - 2 and cov > self.p:
-                members = np.flatnonzero(resid <= self.epsilon)
-                _, refit, _ = _chebyshev_lp(feats[members], resp[members])
-                r2 = np.abs(feats @ refit - resp)
-                c2 = int((r2 <= self.epsilon).sum())
-                if c2 > cov:
-                    theta, cov, resid = refit, c2, r2
-        cover = flags_mask(resid <= self.epsilon)
-        if self._thetas and cov <= self._thetas[-1][0] and len(self._thetas) >= THETA_CACHE_SIZE:
-            return
-        self._thetas.append((cov, cover, theta))
+        self._thetas.append((cov, flags_mask(inside), theta))
         self._thetas.sort(key=lambda e: -e[0])
         del self._thetas[THETA_CACHE_SIZE :]
 

@@ -34,6 +34,7 @@ from .errors import ContractError, SolverError
 from .models import (
     FeasibilityOracle,
     LinearDataset,
+    _stacked_solve,
     consensus_counts,
     exact_maxcon_bases,
     minimax_fit,
@@ -348,12 +349,8 @@ def ransac(
             break
         size = min(CHUNK, target - it, adaptive - it)
         picks = np.array([gen.choice(n, size=p, replace=False) for _ in range(size)])
-        A = feats[picks]
-        # a zero pivot (sign 0) is exactly what makes np.linalg.solve raise
-        singular = np.linalg.slogdet(A)[0] == 0.0
-        A[singular] = np.eye(p)
-        thetas = np.linalg.solve(A, resp[picks][..., None])[..., 0]
-        usable = ~singular & np.isfinite(thetas).all(axis=1)
+        thetas, usable = _stacked_solve(feats[picks], resp[picks])
+        usable &= np.isfinite(thetas).all(axis=1)
         counts = consensus_counts(dataset, epsilon, thetas)
         for j in range(size):
             if it >= adaptive:

@@ -219,7 +219,8 @@ def test_oracle_and_exchange_on_degenerate_data(seed, p, duplicates, collinear):
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans(), st.booleans())
 @settings(max_examples=40, deadline=None)
-@example(1, 2, False, False)  # LP fallbacks at a tie, whose cores read exactly eps
+@example(1, 2, False, False)  # LP fallbacks at a tie
+@example(1391, 3, False, True)  # an exchange whose worst point is in its reference
 def test_resolve_matches_lp_and_caches_checked_certificates(seed, p, duplicates, collinear):
     ds, eps, rng = degenerate_dataset(seed, p, duplicates, collinear)
     oracle = FeasibilityOracle(ds, eps)
@@ -235,6 +236,7 @@ def test_resolve_matches_lp_and_caches_checked_certificates(seed, p, duplicates,
             assert verdict == int(value > eps)
         assert oracle(rows) == verdict
     for witness in oracle._witnesses:
+        assert witness.bit_count() == p + 1
         value, _, _ = _chebyshev_lp(*ds.rows(mask_rows(witness, ds.n)))
         assert value > eps
     for coverage, cover, theta in oracle._thetas:
