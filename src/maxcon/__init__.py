@@ -52,7 +52,6 @@ from .solvers import (
     wi_maxcon,
 )
 from .theory import (
-    MembershipVector,
     StructureSpec,
     detect_pseudo_upper_zeros,
     influence_ideal_multi,

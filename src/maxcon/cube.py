@@ -269,20 +269,21 @@ class TabulatedFunction:
         return cls(truth_table(f), f.n)
 
 
-def _check_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
-    if n > cap:
+def _check_cap(n: int) -> None:
+    if n > ENUMERATION_CAP:
         raise BudgetError(
-            f"exhaustive enumeration over 2**{n} vertices exceeds the cap of 2**{cap}"
+            f"exhaustive enumeration over 2**{n} vertices exceeds the cap of "
+            f"2**{ENUMERATION_CAP}"
         )
 
 
-def truth_table(f: BooleanFunction, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def truth_table(f: BooleanFunction) -> np.ndarray:
     """Full truth table of f as a uint8 array indexed by bitmask."""
     own = getattr(f, "truth_table", None)
     if own is not None:
         table = np.asarray(own(), dtype=np.uint8)
         return table
-    _check_cap(f.n, cap)
+    _check_cap(f.n)
     return np.fromiter((f(bits) for bits in range(1 << f.n)), dtype=np.uint8)
 
 

@@ -48,7 +48,7 @@ WITNESS_CACHE_SIZE = 128
 # Most oracle queries decided by one stacked exchange; bounds its memory.
 EXCHANGE_BATCH = 128
 
-# Most (p+1)-subsets fitted by one stacked kernel call; bounds its memory.
+# Most (p+1)-subsets fitted, or candidate fits scored, at once; bounds memory.
 COMBO_CHUNK = 20_000
 
 
@@ -222,7 +222,7 @@ def _reference(
 
 
 def _exchange(
-    A: np.ndarray, y: np.ndarray, members: np.ndarray, eps: float, theta0: np.ndarray | None
+    A: np.ndarray, y: np.ndarray, members: np.ndarray, eps: float, theta0: np.ndarray
 ) -> list[tuple[int | None, np.ndarray | None]]:
     """Certified feasibility of many row subsets of (A, y) by reference ascent.
 
@@ -247,19 +247,14 @@ def _exchange(
     reference), or when a fit within eps is not certain beyond the rounding
     of its residuals, so every produced answer carries an explicit
     certificate: (1, reference rows of A) or (0, theta).
-    The initial reference is each query's p+1 largest residuals under theta0,
-    or under its own least-squares fit when theta0 is None.
+    Every query starts from the reference of its p+1 largest residuals
+    under the one start vector theta0.
     """
     B = len(members)
     p = A.shape[1]
     k = p + 1
     out: list[tuple[int | None, np.ndarray | None]] = [(None, None)] * B
-    if theta0 is None:
-        warm = np.array([np.linalg.lstsq(A[row], y[row], rcond=None)[0] for row in members])
-        start = np.abs(warm @ A.T - y)
-    else:
-        start = np.broadcast_to(np.abs(A @ theta0 - y), members.shape)
-    start = np.where(members, start, -np.inf)
+    start = np.where(members, np.abs(A @ theta0 - y), -np.inf)
     cut = A.shape[0] - k
     ref = np.sort(np.argpartition(start, cut, axis=1)[:, cut:], axis=1)
     ids = np.arange(B)
@@ -404,7 +399,8 @@ class FeasibilityOracle:
 
     Evaluating a subset returns 1 iff its minimax value exceeds epsilon.
     Subsets of size <= p return 0 without solving.  Results are memoised, and
-    three exact certificate layers answer most queries without a full LP:
+    three exact certificate layers, tried in this order, answer most queries
+    without a full LP:
 
     - feasibility: cached parameter vectors, kept ranked by how many points
       of the whole dataset they cover, each with its cover mask of the points
@@ -413,7 +409,9 @@ class FeasibilityOracle:
     - infeasibility: cached infeasible exchange references inside the query;
     - either: the certified exchange ascent, whose reference value rises
       strictly until it ends with an explicit infeasible core or an explicit
-      within-epsilon parameter vector.
+      within-epsilon parameter vector.  It starts from the best cached
+      parameter vector, or from the least-squares fit of the whole dataset
+      while none is cached; that fit is no certificate and is never cached.
 
     ``resolve`` answers many subsets at once: the queries that no cache layer
     answers run one stacked exchange per chunk of at most ``EXCHANGE_BATCH``
@@ -437,6 +435,8 @@ class FeasibilityOracle:
         self._evals = 0
         self._lp_solves = 0
         self._core_tests = 0
+        # the exchange's start while no fit is cached
+        self._lstsq = np.linalg.lstsq(dataset.features, dataset.responses, rcond=None)[0]
 
     @property
     def n(self) -> int:
@@ -475,7 +475,7 @@ class FeasibilityOracle:
     def resolve(self, subsets) -> list[int]:
         """Verdicts of many subsets, memoised but not counted as evaluations.
 
-        Each subset goes through the trivial, memo, core and theta layers in
+        Each subset goes through the trivial, memo, theta and core layers in
         turn; the rest are decided in chunks of at most ``EXCHANGE_BATCH``
         distinct masks, each by one stacked exchange.  The verdicts are those
         ``__call__`` returns, so a caller can resolve a batch ahead of the
@@ -499,20 +499,20 @@ class FeasibilityOracle:
         return out
 
     def _cached(self, mask: int) -> int | None:
-        """The verdict of the trivial, memo, core or theta layer, if any."""
+        """The verdict of the trivial, memo, theta or core layer, if any."""
         if mask.bit_count() <= self.p:
             return 0
         hit = self._memo.get(mask)
         if hit is not None:
             return hit
-        for w in self._witnesses:
-            if w & mask == w:
-                self._memo[mask] = 1
-                return 1
         for _, cover, _ in self._thetas:
             if mask & ~cover == 0:
                 self._memo[mask] = 0
                 return 0
+        for w in self._witnesses:
+            if w & mask == w:
+                self._memo[mask] = 1
+                return 1
         return None
 
     def _settle(self, pending: dict[int, list[int]], out: list[int]) -> None:
@@ -521,8 +521,8 @@ class FeasibilityOracle:
         members = masks_flags(masks, self.n)
         feats, resp = self.dataset.features, self.dataset.responses
         self._core_tests += len(masks)
-        warm = self._thetas[0][2] if self._thetas else None
-        answers = _exchange(feats, resp, members, self.epsilon, warm)
+        start = self._thetas[0][2] if self._thetas else self._lstsq
+        answers = _exchange(feats, resp, members, self.epsilon, start)
         for mask, row, (verdict, evidence) in zip(masks, members, answers):
             if verdict == 1:
                 self._witnesses.appendleft(as_mask(evidence, self.n))
@@ -557,7 +557,7 @@ class FeasibilityOracle:
         self._thetas.sort(key=lambda e: -e[0])
         del self._thetas[THETA_CACHE_SIZE :]
 
-    def truth_table(self, cap: int = cube.ENUMERATION_CAP) -> np.ndarray:
+    def truth_table(self) -> np.ndarray:
         """Exact truth table over all 2**n subsets.
 
         Fits every (p+1)-subset once and closes upward: a subset is infeasible
@@ -565,8 +565,7 @@ class FeasibilityOracle:
         larger fits are needed.
         """
         n, p = self.n, self.p
-        if n > cap:
-            raise BudgetError(f"truth table over 2**{n} vertices exceeds cap 2**{cap}")
+        cube._check_cap(n)
         if n <= p:
             return np.zeros(1 << n, dtype=np.uint8)
         combos = np.array(list(itertools.combinations(range(n), p + 1)), dtype=np.intp)
@@ -606,9 +605,8 @@ def _best_consensus(
     """Largest consensus among candidate parameter rows; the first one wins ties."""
     best_count = -1
     best_theta: np.ndarray | None = None
-    chunk = 20_000
-    for lo in range(0, len(thetas), chunk):
-        th = thetas[lo : lo + chunk]
+    for lo in range(0, len(thetas), COMBO_CHUNK):
+        th = thetas[lo : lo + COMBO_CHUNK]
         counts = consensus_counts(dataset, epsilon, th)
         j = int(np.argmax(counts))
         if counts[j] > best_count:
@@ -659,7 +657,7 @@ def exact_maxcon_bases(
     return tuple(int(i) for i in inliers), ModelParams(best_theta)
 
 
-def exact_maxcon_enumerate(f, cap: int = cube.ENUMERATION_CAP) -> tuple[int, ...]:
+def exact_maxcon_enumerate(f) -> tuple[int, ...]:
     """Maximum-cardinality feasible subset by descending-level enumeration.
 
     Works on any monotone Boolean function over the cube (a feasibility
@@ -674,9 +672,8 @@ def exact_maxcon_enumerate(f, cap: int = cube.ENUMERATION_CAP) -> tuple[int, ...
     can then report a smaller optimum.
     """
     n = f.n
-    if n > cap:
-        raise BudgetError(f"enumeration over 2**{n} vertices exceeds cap 2**{cap}")
-    table = cube.truth_table(f, cap)
+    cube._check_cap(n)
+    table = cube.truth_table(f)
     feasible = table == 0
     levels = cube.level_table(n)
     top = int(levels[feasible].max())

@@ -141,13 +141,7 @@ class StructureSpec:
 
     def validate_membership(self, membership: Sequence[int]) -> None:
         """Check length and the parent/pseudo implication."""
-        bits = tuple(int(b) for b in membership)
-        if len(bits) != self.n0 + self.m0:
-            raise ValueError(
-                f"membership must have {self.n0 + self.m0} bits, got {len(bits)}"
-            )
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("membership entries must be bits")
+        bits = _membership_bits(membership, self.n0 + self.m0)
         for s, (a, b) in enumerate(self.pseudo_parents):
             inside = bits[a] == 1 and bits[b] == 1
             if inside != (bits[self.n0 + s] == 0):
@@ -155,17 +149,6 @@ class StructureSpec:
                     "inconsistent membership: inlier to a pseudo zero iff inlier "
                     "to both of its parent structures"
                 )
-
-
-@dataclass(frozen=True)
-class MembershipVector:
-    """Membership pattern over upper zeros and pseudo zeros."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("membership entries must be bits")
 
 
 # --------------------------------------------------------------------------
@@ -204,9 +187,9 @@ def make_structured_bf(spec: StructureSpec) -> StructuredFunction:
     )
 
 
-def enumerate_upper_zeros(f, cap: int = cube.ENUMERATION_CAP) -> tuple[Vertex, ...]:
+def enumerate_upper_zeros(f) -> tuple[Vertex, ...]:
     """All upper zeros of a monotone function, by exhaustive scan."""
-    table = cube.truth_table(f, cap)
+    table = cube.truth_table(f)
     n = f.n
     idx = np.arange(1 << n, dtype=np.int64)
     feasible = table == 0
@@ -239,14 +222,9 @@ def influence_ideal_single(n: int, p: int, k1: int, q, role: str):
 
     The outlier value strictly exceeds the inlier value.
     """
-    _check_q(q)
-    if not p + 1 <= k1 <= n:
-        raise ValueError(f"need p + 1 <= k1 <= n, got k1={k1}")
-    if role == "inlier":
-        return _level_term(comb(n - 1, p) - comb(k1 - 1, p), n, p, q)
-    if role == "outlier":
-        return _level_term(comb(n - 1, p), n, p, q) + _upper_sum(k1, n, p, q)
-    raise ValueError(f"role must be 'inlier' or 'outlier', got {role!r}")
+    if role not in ("inlier", "outlier"):
+        raise ValueError(f"role must be 'inlier' or 'outlier', got {role!r}")
+    return influence_nonideal(n, p, (k1,), (), q, (int(role == "inlier"),))
 
 
 def influence_ideal_multi(n: int, p: int, ks: Sequence[int], q, membership: Sequence[int]):
@@ -255,15 +233,7 @@ def influence_ideal_multi(n: int, p: int, ks: Sequence[int], q, membership: Sequ
     (C(n-1, p) - sum_{s: m_s=1} C(k_s-1, p)) q^p (1-q)^(n-p-1)
       + sum_{s: m_s=0} sum_{l=p+1}^{k_s} C(k_s, l) q^l (1-q)^(n-l-1)
     """
-    _check_q(q)
-    bits = _membership_bits(membership, len(ks))
-    for k in ks:
-        if not p + 1 <= k <= n:
-            raise ValueError(f"structure level {k} outside [{p + 1}, {n}]")
-    coef = comb(n - 1, p) - sum(comb(k - 1, p) for k, b in zip(ks, bits) if b == 1)
-    total = _level_term(coef, n, p, q)
-    total += sum(_upper_sum(k, n, p, q) for k, b in zip(ks, bits) if b == 0)
-    return total
+    return influence_nonideal(n, p, ks, (), q, membership)
 
 
 def influence_nonideal(
@@ -290,9 +260,9 @@ def influence_nonideal(
     bits = _membership_bits(membership, n0 + m0)
     if spec is not None:
         spec.validate_membership(bits)
-    for a in alphas:
-        if not p + 1 <= a <= n:
-            raise ValueError(f"pseudo level {a} outside [{p + 1}, {n}]")
+    for level in (*ks, *alphas):
+        if not p + 1 <= level <= n:
+            raise ValueError(f"structure level {level} outside [{p + 1}, {n}]")
     up_bits, pz_bits = bits[:n0], bits[n0:]
     coef = comb(n - 1, p)
     coef -= sum(comb(k - 1, p) for k, b in zip(ks, up_bits) if b == 1)
@@ -304,10 +274,7 @@ def influence_nonideal(
 
 
 def _membership_bits(membership, expected: int) -> tuple[int, ...]:
-    if isinstance(membership, MembershipVector):
-        bits = membership.bits
-    else:
-        bits = tuple(int(b) for b in membership)
+    bits = tuple(int(b) for b in membership)
     if len(bits) != expected:
         raise ValueError(f"membership must have {expected} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
@@ -323,11 +290,6 @@ def class_influence(spec: StructureSpec, membership: Sequence[int], q):
     bits = _membership_bits(membership, spec.n0 + spec.m0)
     if bits not in spec.membership_classes():
         raise ContractError(f"membership class {bits} is empty for this spec")
-    if spec.m0 == 0:
-        if spec.n0 == 1:
-            role = "inlier" if bits[0] == 1 else "outlier"
-            return influence_ideal_single(spec.n, spec.p, spec.ks[0], q, role)
-        return influence_ideal_multi(spec.n, spec.p, spec.ks, q, bits)
     return influence_nonideal(spec.n, spec.p, spec.ks, spec.alphas, q, bits, spec=spec)
 
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxcon.cube import TabulatedFunction, Vertex, as_mask, estimate_influence_bernoulli, mask_rows
+from maxcon.cube import (
+    ENUMERATION_CAP,
+    TabulatedFunction,
+    Vertex,
+    as_mask,
+    estimate_influence_bernoulli,
+    mask_rows,
+)
 from maxcon.datagen import GenSpec, gen_hyperplane_data
 from maxcon.errors import BudgetError, ContractError
 from maxcon.models import (
@@ -150,7 +157,8 @@ def test_exchange_agrees_with_lp_on_random_subsets():
             rows = rng.choice(n, m, replace=False)
             A, y = feats[rows], resp[rows]
             value, _, _ = _chebyshev_lp(A, y)
-            verdict, evidence = _exchange(A, y, np.ones((1, len(y)), bool), 0.25, None)[0]
+            start = np.linalg.lstsq(A, y, rcond=None)[0]
+            verdict, evidence = _exchange(A, y, np.ones((1, len(y)), bool), 0.25, start)[0]
             assert verdict == int(value > 0.25)
             assert_exchange_certificate(A, y, 0.25, verdict, evidence)
 
@@ -212,7 +220,8 @@ def test_oracle_and_exchange_on_degenerate_data(seed, p, duplicates, collinear):
         verdict = oracle(rows)
         if abs(value - eps) > 1e-9:
             assert verdict == int(value > eps)
-        answer, evidence = _exchange(A, y, np.ones((1, len(y)), bool), eps, None)[0]
+        start = np.linalg.lstsq(A, y, rcond=None)[0]
+        answer, evidence = _exchange(A, y, np.ones((1, len(y)), bool), eps, start)[0]
         if answer is not None:
             assert_exchange_certificate(A, y, eps, answer, evidence)
 
@@ -545,6 +554,18 @@ def test_enumerate_structured_toy():
     assert exact_maxcon_enumerate(f) == (2, 3, 4, 5, 6, 7)
 
 
+class AboveTheCap:
+    """A function over more points than the enumeration cap; never evaluated."""
+
+    n = ENUMERATION_CAP + 1
+
+    def __call__(self, bits):
+        raise AssertionError("evaluated above the enumeration cap")
+
+    def truth_table(self):
+        raise AssertionError("tabulated above the enumeration cap")
+
+
 def test_enumerate_trivial_cases():
     assert exact_maxcon_enumerate(TabulatedFunction(np.zeros(1 << 6, dtype=np.uint8), 6)) == tuple(
         range(6)
@@ -553,7 +574,14 @@ def test_enumerate_trivial_cases():
     f = make_structured_bf(spec)
     assert exact_maxcon_enumerate(f) == (0, 1)
     with pytest.raises(BudgetError):
-        exact_maxcon_enumerate(TabulatedFunction(np.zeros(4, dtype=np.uint8), 2), cap=1)
+        exact_maxcon_enumerate(AboveTheCap())
+
+
+def test_oracle_truth_table_refused_above_the_cap():
+    n = ENUMERATION_CAP + 1
+    oracle = FeasibilityOracle(LinearDataset(np.ones((n, 1)), np.zeros(n)), 0.1)
+    with pytest.raises(BudgetError):
+        oracle.truth_table()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])

@@ -161,6 +161,17 @@ def test_nonideal_landmark_value():
     assert got == Fraction(21 - 3 - 10 + 1, 128)
 
 
+def test_closed_forms_reject_structure_levels_outside_the_range():
+    # levels must lie in [p+1, n] = [3, 8], for structures as for pseudo zeros
+    for ks, alphas in (((2, 6), ()), ((4, 9), ()), ((4, 6), (2,))):
+        with pytest.raises(ValueError, match="structure level"):
+            influence_nonideal(8, 2, ks, alphas, HALF, (1,) * (len(ks) + len(alphas)))
+    with pytest.raises(ValueError, match="structure level"):
+        influence_ideal_multi(8, 2, (4, 9), HALF, (1, 0))
+    with pytest.raises(ValueError, match="structure level"):
+        influence_ideal_single(8, 2, 2, HALF, "inlier")
+
+
 def test_nonideal_membership_consistency_checked():
     spec = asymmetric_two_structure_spec()
     with pytest.raises(ContractError):
