@@ -5,14 +5,11 @@ from .cube import (
     BernoulliMeasure,
     InfluenceReport,
     TabulatedFunction,
-    Vertex,
     estimate_influence_bernoulli,
     estimate_influence_hamming,
     exact_fourier_first_order,
     exact_influence_report,
     exact_weighted_influence,
-    flip,
-    measure,
     sample_bernoulli,
     sample_level,
     truth_table,

@@ -143,7 +143,7 @@ def _cmd_theory(args) -> int:
         spec = theory.StructureSpec(
             n=raw["n"],
             p=raw["p"],
-            upper_zeros=tuple(cube.Vertex.from_string(s) for s in raw["zeros"]),
+            upper_zeros=tuple(cube.mask_from_string(s, raw["n"]) for s in raw["zeros"]),
         )
         specs = [spec]
     else:
@@ -156,8 +156,8 @@ def _cmd_theory(args) -> int:
                     "spec": {
                         "n": spec.n,
                         "p": spec.p,
-                        "zeros": [str(z) for z in spec.upper_zeros],
-                        "pseudo_zeros": [str(z) for z in spec.pseudo_zeros],
+                        "zeros": [cube.mask_string(z, spec.n) for z in spec.upper_zeros],
+                        "pseudo_zeros": [cube.mask_string(z, spec.n) for z in spec.pseudo_zeros],
                     },
                     "class": list(row["class"]),
                     "closed_form": row["closed_form"],
@@ -166,7 +166,14 @@ def _cmd_theory(args) -> int:
                 }
             )
     _write_json(rows, args.out)
-    return 0 if not any(r["abs_diff"] > 0 for r in rows) else 1
+    return 1 if any(_mismatch(r, q) for r in rows) else 0
+
+
+def _mismatch(row: dict, q) -> bool:
+    """A fraction q must match exactly; a float q within rounding of the larger value."""
+    if isinstance(q, Fraction):
+        return row["abs_diff"] > 0
+    return row["abs_diff"] > 1e-12 * max(abs(row["closed_form"]), abs(row["brute_force"]))
 
 
 def _cmd_experiment(args) -> int:

@@ -1,9 +1,10 @@
-"""Boolean-cube machinery: vertices, biased measures, samplers and influences.
+"""Boolean-cube machinery: masks, biased measures, samplers and influences.
 
-A vertex of the n-dimensional Boolean cube encodes a subset of n items as a
-bitmask.  Bit i of the mask is component i of the vertex; in string form the
-component with index 0 is written leftmost, so ``Vertex.from_string("101")``
-has bits 0 and 2 set.
+A vertex of the n-dimensional Boolean cube is a subset of n items, and it is
+always held as a plain int bitmask: bit i is set when item i is in the
+subset.  ``as_mask`` coerces an index iterable to that form.  The bitstring
+form exists only at the edges, in ``mask_from_string`` and ``mask_string``:
+character i is bit i, so ``mask_from_string("101", 3)`` has bits 0 and 2 set.
 
 Boolean functions over the cube are represented by any callable object with
 an ``n`` attribute that maps a bitmask to 0 or 1.  Functions that can produce
@@ -32,97 +33,36 @@ from .errors import BudgetError
 ENUMERATION_CAP = 22
 
 # --------------------------------------------------------------------------
-# Vertices
+# Masks
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A vertex of the n-dimensional Boolean cube, stored as a bitmask."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits {self.bits:#x} out of range for n={self.n}")
-
-    @property
-    def level(self) -> int:
-        """Number of set components (the Hamming weight)."""
-        return self.bits.bit_count()
-
-    def bit(self, i: int) -> int:
-        self._check_index(i)
-        return (self.bits >> i) & 1
-
-    def flip(self, i: int) -> "Vertex":
-        """Return the vertex with component i toggled."""
-        self._check_index(i)
-        return Vertex(self.bits ^ (1 << i), self.n)
-
-    def intersect(self, other: "Vertex") -> "Vertex":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return Vertex(self.bits & other.bits, self.n)
-
-    def issubset(self, other: "Vertex") -> bool:
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return self.bits & ~other.bits == 0
-
-    def indices(self) -> tuple[int, ...]:
-        """Indices of the set components, ascending."""
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> "Vertex":
-        bits = 0
-        for i in indices:
-            i = operator.index(i)  # numpy integers would overflow the shift
-            if not 0 <= i < n:
-                raise IndexError(f"index {i} out of range for n={n}")
-            bits |= 1 << i
-        return cls(bits, n)
-
-    @classmethod
-    def from_string(cls, s: str) -> "Vertex":
-        """Parse a bitstring; the character at string position i is component i."""
-        if set(s) - {"0", "1"}:
-            raise ValueError(f"not a bitstring: {s!r}")
-        bits = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(bits, len(s))
-
-    def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"component {i} out of range for n={self.n}")
-
-
-def flip(v: Vertex, i: int) -> Vertex:
-    """Toggle component i of a vertex; an involution."""
-    return v.flip(i)
-
-
-def as_mask(subset: "Vertex | int | Iterable[int]", n: int) -> int:
-    """Coerce a vertex, bitmask or index iterable to a bitmask of width n."""
-    if isinstance(subset, Vertex):
-        if subset.n != n:
-            raise ValueError(f"vertex dimension {subset.n} != {n}")
-        return subset.bits
+def as_mask(subset: "int | Iterable[int]", n: int) -> int:
+    """Coerce a bitmask or an index iterable to a bitmask of width n."""
     if isinstance(subset, (int, np.integer)):
         bits = int(subset)
         if not 0 <= bits < (1 << n):
             raise ValueError(f"mask {bits:#x} out of range for n={n}")
         return bits
-    return Vertex.from_indices(subset, n).bits
+    bits = 0
+    for i in subset:
+        i = operator.index(i)  # numpy integers would overflow the shift
+        if not 0 <= i < n:
+            raise IndexError(f"index {i} out of range for n={n}")
+        bits |= 1 << i
+    return bits
+
+
+def mask_from_string(s: str, n: int) -> int:
+    """Parse an n-character bitstring of 0s and 1s; character i is bit i."""
+    if len(s) != n or set(s) - {"0", "1"}:
+        raise ValueError(f"not a bitstring of length {n}: {s!r}")
+    return int(s[::-1] or "0", 2)
+
+
+def mask_string(mask: int, n: int) -> str:
+    """The n-character bitstring of a mask; the inverse of ``mask_from_string``."""
+    return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
 
 
 def masks_flags(masks: Sequence[int], n: int) -> np.ndarray:
@@ -171,27 +111,18 @@ class BernoulliMeasure:
     def q_plus(self) -> float:
         return math.sqrt(self.q / (1.0 - self.q))
 
-    def weight(self, v: Vertex) -> float:
-        return measure(v, self.q)
-
 
 def _check_q(q) -> None:
     if not 0 < q < 1:
         raise ValueError(f"q must lie in (0, 1), got {q}")
 
 
-def measure(v: Vertex, q) -> "float | Fraction":
-    """Probability of vertex v under the product measure with bit bias q.
-
-    Accepts a ``Fraction`` q and then returns an exact rational value.
-    """
-    _check_q(q)
-    k = v.level
-    return q**k * (1 - q) ** (v.n - k)
-
-
 def level_weights(n: int, q) -> list:
-    """Per-level vertex weights q**l * (1-q)**(n-l) for l = 0..n."""
+    """Per-level vertex weights q**l * (1-q)**(n-l) for l = 0..n.
+
+    Entry l is the probability of any one mask with l set bits under the
+    product measure with bit bias q, exact when q is a ``Fraction``.
+    """
     _check_q(q)
     return [q**l * (1 - q) ** (n - l) for l in range(n + 1)]
 
@@ -222,17 +153,17 @@ def substream(seed, key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def sample_bernoulli(n: int, q: float, rng) -> Vertex:
-    """Draw a vertex with independent Bernoulli(q) bits."""
+def sample_bernoulli(n: int, q: float, rng) -> int:
+    """Draw a width-n mask with independent Bernoulli(q) bits."""
     _check_q(q)
-    return Vertex(flags_mask(_as_generator(rng).random(n) < q), n)
+    return flags_mask(_as_generator(rng).random(n) < q)
 
 
-def sample_level(n: int, k: int, rng) -> Vertex:
-    """Draw a uniformly random vertex with exactly k set bits."""
+def sample_level(n: int, k: int, rng) -> int:
+    """Draw a uniformly random width-n mask with exactly k set bits."""
     if not 0 <= k <= n:
         raise ValueError(f"level {k} out of range for n={n}")
-    return Vertex.from_indices(_as_generator(rng).choice(n, size=k, replace=False), n)
+    return as_mask(_as_generator(rng).choice(n, size=k, replace=False), n)
 
 
 # --------------------------------------------------------------------------

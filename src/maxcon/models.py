@@ -38,7 +38,7 @@ TIE_RTOL = 1e-9
 
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps)
 
-# Default refusal threshold for enumerating all (p+1)-subsets.
+# Refusal threshold for the candidate bases of ``exact_maxcon_bases``.
 DEFAULT_MAX_BASES = 200_000
 
 # Feasibility oracle certificate caches: parameter vectors kept, cores kept.
@@ -580,16 +580,15 @@ class FeasibilityOracle:
 # --------------------------------------------------------------------------
 
 
-def _check_bases(count: int, max_bases: int) -> None:
-    if count > max_bases:
+def _check_bases(count: int) -> None:
+    if count > DEFAULT_MAX_BASES:
         raise BudgetError(
-            f"enumerating {count} candidate bases exceeds the cap of {max_bases}"
+            f"enumerating {count} candidate bases exceeds the cap of {DEFAULT_MAX_BASES}"
         )
 
 
-def _combinations(n: int, k: int, max_bases: int) -> np.ndarray:
-    """All k-subsets of range(n) as rows, refused above max_bases of them."""
-    _check_bases(math.comb(n, k), max_bases)
+def _combinations(n: int, k: int) -> np.ndarray:
+    """All k-subsets of range(n) as rows."""
     return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
 
 
@@ -616,7 +615,7 @@ def _best_consensus(
 
 
 def exact_maxcon_bases(
-    dataset: LinearDataset, epsilon: float, max_bases: int = DEFAULT_MAX_BASES
+    dataset: LinearDataset, epsilon: float
 ) -> tuple[tuple[int, ...], ModelParams]:
     """Ground-truth consensus by enumerating every (p+1)-subset fit.
 
@@ -639,16 +638,17 @@ def exact_maxcon_bases(
             return tuple(range(n)), fit.theta
         best_count = 0
     else:
-        combos = _combinations(n, p + 1, max_bases)
+        _check_bases(math.comb(n, p + 1))
+        combos = _combinations(n, p + 1)
         _, thetas = _chebyshev_combos(feats, resp, combos)
         best_count, best_theta = _best_consensus(dataset, epsilon, thetas)
     if best_count <= p:
         # p-subsets first, so that their fits keep winning ties
         sizes = range(p, 0, -1)
-        _check_bases(sum(math.comb(n, k) for k in sizes), max_bases)
+        _check_bases(sum(math.comb(n, k) for k in sizes))
         interpolants = []
         for k in sizes:
-            combos = _combinations(n, k, max_bases)
+            combos = _combinations(n, k)
             interpolants.append(
                 (np.linalg.pinv(feats[combos]) @ resp[combos][..., None])[..., 0]
             )

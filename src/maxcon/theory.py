@@ -18,6 +18,10 @@ for them.  The influence of index i depends only on its membership pattern:
 bit s is 1 when i lies in upper zero s, and for pseudo zeros the convention
 is inverted (bit n0+s is 0 when i lies in pseudo zero s).
 
+Upper zeros and pseudo upper zeros are int bitmasks over the n data indices,
+as every subset is in ``maxcon.cube``, and are ordered by (level, mask).
+Error messages print them as bitstrings through ``cube.mask_string``.
+
 All binomial coefficients are exact integers and the formulas evaluate to
 exact rationals when q is a ``Fraction``, so brute-force comparisons can be
 made with zero tolerance.
@@ -33,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import cube
-from .cube import Vertex, _check_q
+from .cube import _check_q, as_mask, mask_from_string, mask_string
 from .errors import ContractError
 
 
@@ -42,14 +46,14 @@ from .errors import ContractError
 # --------------------------------------------------------------------------
 
 
-def detect_pseudo_upper_zeros(upper_zeros: Sequence[Vertex], p: int) -> tuple[Vertex, ...]:
-    """Pairwise intersections of upper zeros with level > p, deduplicated."""
-    found: dict[int, Vertex] = {}
-    for a, b in ((x, y) for i, x in enumerate(upper_zeros) for y in upper_zeros[i + 1 :]):
-        inter = a.intersect(b)
-        if inter.level > p:
-            found.setdefault(inter.bits, inter)
-    return tuple(sorted(found.values(), key=lambda v: (v.level, v.bits)))
+def _by_level(mask: int) -> tuple[int, int]:
+    return mask.bit_count(), mask
+
+
+def detect_pseudo_upper_zeros(upper_zeros: Sequence[int], p: int) -> tuple[int, ...]:
+    """Pairwise intersections of upper zero masks with level > p, deduplicated."""
+    found = {a & b for i, a in enumerate(upper_zeros) for b in upper_zeros[i + 1 :]}
+    return tuple(sorted((m for m in found if m.bit_count() > p), key=_by_level))
 
 
 @dataclass(frozen=True)
@@ -58,55 +62,49 @@ class StructureSpec:
 
     n: int
     p: int
-    upper_zeros: tuple[Vertex, ...]
+    upper_zeros: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < self.p + 1:
             raise ValueError(f"need 1 <= p and p + 1 <= n, got p={self.p}, n={self.n}")
-        zeros = tuple(sorted(set(self.upper_zeros), key=lambda v: (v.level, v.bits)))
+        for z in self.upper_zeros:
+            if not isinstance(z, int) or not 0 <= z < (1 << self.n):
+                raise ValueError(f"upper zero {z!r} is not a mask of width n={self.n}")
+        zeros = tuple(sorted(set(self.upper_zeros), key=_by_level))
         for z in zeros:
-            if z.n != self.n:
-                raise ValueError("upper zero dimension mismatch")
-            if not self.p + 1 <= z.level <= self.n:
+            if not self.p + 1 <= z.bit_count() <= self.n:
                 raise ValueError(
-                    f"upper zero level {z.level} outside [{self.p + 1}, {self.n}]"
+                    f"upper zero level {z.bit_count()} outside [{self.p + 1}, {self.n}]"
                 )
         for a in zeros:
             for b in zeros:
-                if a is not b and a.issubset(b):
+                if a != b and a & ~b == 0:
                     raise ValueError(
                         "upper zeros must form an antichain; "
-                        f"{a} is contained in {b}"
+                        f"{mask_string(a, self.n)} is contained in {mask_string(b, self.n)}"
                     )
         object.__setattr__(self, "upper_zeros", zeros)
 
     @cached_property
-    def pseudo_zeros(self) -> tuple[Vertex, ...]:
+    def pseudo_zeros(self) -> tuple[int, ...]:
         return detect_pseudo_upper_zeros(self.upper_zeros, self.p)
 
     @cached_property
     def pseudo_parents(self) -> tuple[tuple[int, int], ...]:
-        """For each pseudo zero, one (s, t) pair of parent upper zeros."""
-        parents = []
-        for pz in self.pseudo_zeros:
-            for s, a in enumerate(self.upper_zeros):
-                hit = None
-                for t in range(s + 1, len(self.upper_zeros)):
-                    if a.intersect(self.upper_zeros[t]).bits == pz.bits:
-                        hit = (s, t)
-                        break
-                if hit:
-                    break
-            parents.append(hit)
-        return tuple(parents)
+        """For each pseudo zero, the first (s, t) pair of parent upper zeros."""
+        zs = self.upper_zeros
+        pairs = [(s, t) for s in range(len(zs)) for t in range(s + 1, len(zs))]
+        return tuple(
+            next((s, t) for s, t in pairs if zs[s] & zs[t] == pz) for pz in self.pseudo_zeros
+        )
 
     @property
     def ks(self) -> tuple[int, ...]:
-        return tuple(z.level for z in self.upper_zeros)
+        return tuple(z.bit_count() for z in self.upper_zeros)
 
     @property
     def alphas(self) -> tuple[int, ...]:
-        return tuple(z.level for z in self.pseudo_zeros)
+        return tuple(z.bit_count() for z in self.pseudo_zeros)
 
     @property
     def n0(self) -> int:
@@ -128,8 +126,8 @@ class StructureSpec:
         """
         if not 0 <= index < self.n:
             raise IndexError(f"index {index} out of range for n={self.n}")
-        ups = tuple(z.bit(index) for z in self.upper_zeros)
-        pseudos = tuple(1 - z.bit(index) for z in self.pseudo_zeros)
+        ups = tuple((z >> index) & 1 for z in self.upper_zeros)
+        pseudos = tuple(1 - ((z >> index) & 1) for z in self.pseudo_zeros)
         return ups + pseudos
 
     def membership_classes(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -182,13 +180,11 @@ class StructuredFunction:
 
 def make_structured_bf(spec: StructureSpec) -> StructuredFunction:
     """Build the monotone function whose upper zeros include the prescribed ones."""
-    return StructuredFunction(
-        n=spec.n, p=spec.p, zero_masks=tuple(z.bits for z in spec.upper_zeros)
-    )
+    return StructuredFunction(n=spec.n, p=spec.p, zero_masks=spec.upper_zeros)
 
 
-def enumerate_upper_zeros(f) -> tuple[Vertex, ...]:
-    """All upper zeros of a monotone function, by exhaustive scan."""
+def enumerate_upper_zeros(f) -> tuple[int, ...]:
+    """All upper zero masks of a monotone function, ascending, by exhaustive scan."""
     table = cube.truth_table(f)
     n = f.n
     idx = np.arange(1 << n, dtype=np.int64)
@@ -197,7 +193,7 @@ def enumerate_upper_zeros(f) -> tuple[Vertex, ...]:
     for i in range(n):
         up = idx | (1 << i)
         maximal &= (up == idx) | ~feasible[up]
-    return tuple(Vertex(int(m), n) for m in np.flatnonzero(maximal))
+    return tuple(int(m) for m in np.flatnonzero(maximal))
 
 
 # --------------------------------------------------------------------------
@@ -348,9 +344,9 @@ def ordering_check(spec: StructureSpec, q) -> OrderingReport:
 # --------------------------------------------------------------------------
 
 
-def _range_zero(lo: int, hi: int, n: int) -> Vertex:
-    """Vertex with bits lo..hi-1 set."""
-    return Vertex.from_indices(range(lo, hi), n)
+def _range_zero(lo: int, hi: int, n: int) -> int:
+    """Width-n mask with bits lo..hi-1 set."""
+    return as_mask(range(lo, hi), n)
 
 
 def default_verification_grid() -> list[StructureSpec]:
@@ -363,7 +359,7 @@ def default_verification_grid() -> list[StructureSpec]:
     """
     specs: list[StructureSpec] = []
 
-    def add(n: int, p: int, zeros: Iterable[Vertex]) -> None:
+    def add(n: int, p: int, zeros: Iterable[int]) -> None:
         specs.append(StructureSpec(n=n, p=p, upper_zeros=tuple(zeros)))
 
     # single structures, smallest / middle / full level
@@ -387,7 +383,7 @@ def default_verification_grid() -> list[StructureSpec]:
     add(14, 3, [_range_zero(0, 7, 14), _range_zero(3, 11, 14)])
 
     # two overlapping structures with an asymmetric membership pattern
-    add(8, 2, [Vertex.from_string("10001101"), Vertex.from_string("00111111")])
+    add(8, 2, [mask_from_string("10001101", 8), mask_from_string("00111111", 8)])
 
     # three structures: all disjoint; chain with two disjoint pseudo zeros;
     # one overlapping pair plus a disjoint third

@@ -11,7 +11,7 @@ import numpy as np
 
 from maxcon import metrics, theory
 from maxcon.cube import (
-    Vertex,
+    as_mask,
     estimate_influence_bernoulli,
     estimate_influence_hamming,
     exact_fourier_first_order,
@@ -19,6 +19,7 @@ from maxcon.cube import (
     flip_profile,
     level_table,
     level_weights,
+    mask_from_string,
 )
 from maxcon.datagen import (
     GenSpec,
@@ -64,7 +65,7 @@ def test_criterion_2_closed_forms_match_brute_force():
     spec = theory.StructureSpec(
         n=8,
         p=2,
-        upper_zeros=(Vertex.from_string("10001101"), Vertex.from_string("00111111")),
+        upper_zeros=(mask_from_string("10001101", 8), mask_from_string("00111111", 8)),
     )
     landmark_overlap = theory.class_influence(spec, (1, 1, 0), Fraction(1, 2))
     landmarks_ok = (
@@ -112,7 +113,7 @@ def test_criterion_4_hamming_zero_inlier():
     configs = ((8, 2, 6), (10, 1, 7), (12, 2, 9), (14, 3, 11))
     checked_levels = 0
     for n, p, k1 in configs:
-        spec = theory.StructureSpec(n=n, p=p, upper_zeros=(Vertex.from_indices(range(k1), n),))
+        spec = theory.StructureSpec(n=n, p=p, upper_zeros=(as_mask(range(k1), n),))
         f = theory.make_structured_bf(spec)
         table = f.truth_table()
         inliers = range(k1)
@@ -127,7 +128,7 @@ def test_criterion_4_hamming_zero_inlier():
                 rep = estimate_influence_hamming(f, list(inliers), k, h, seed=(n, k, h))
                 assert all(v == 0.0 for v in rep.scores.values())
     # in the dense small setting the sampled outlier scores are positive too
-    spec = theory.StructureSpec(n=8, p=2, upper_zeros=(Vertex.from_indices(range(6), 8),))
+    spec = theory.StructureSpec(n=8, p=2, upper_zeros=(as_mask(range(6), 8),))
     dense = theory.make_structured_bf(spec)
     rep = estimate_influence_hamming(dense, [6, 7], 4, 64, seed=14)
     assert all(v > 0.0 for v in rep.scores.values())

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from maxcon import theory
 from maxcon.cli import main
 from maxcon.ingest import CorrespondenceSet, save_correspondences_csv
 from maxcon.models import load_dataset_csv
@@ -137,6 +138,33 @@ def test_theory_verify_spec_file(tmp_path, capsys):
     for row in rows:
         assert row["abs_diff"] == 0.0
         assert row["spec"]["pseudo_zeros"] == ["00001101"]
+
+
+def test_theory_verify_rejects_a_zero_of_the_wrong_width(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 8, "p": 2, "zeros": ["1000110100", "00111111"]}))
+    code, out, err = run_cli(["theory", "verify", "--spec", str(spec)], capsys)
+    assert code == 1
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_theory_verify_float_q_passes_within_rounding(tmp_path, capsys):
+    # the closed form and the brute-force sum add in different orders
+    out_path = tmp_path / "rows.json"
+    code, _, _ = run_cli(["theory", "verify", "--q", "0.3", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert any(row["abs_diff"] > 0 for row in json.loads(out_path.read_text()))
+
+
+def test_theory_verify_float_q_fails_beyond_rounding(tmp_path, capsys, monkeypatch):
+    real = theory.class_influence
+    monkeypatch.setattr(
+        theory, "class_influence", lambda spec, pattern, q: real(spec, pattern, q) * (1 + 1e-9)
+    )
+    out_path = tmp_path / "rows.json"
+    code, _, _ = run_cli(["theory", "verify", "--q", "0.3", "--out", str(out_path)], capsys)
+    assert code == 1
 
 
 def test_ingest_commands(tmp_path, capsys):

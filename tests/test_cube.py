@@ -10,16 +10,16 @@ from maxcon import cube
 from maxcon.cube import (
     BernoulliMeasure,
     TabulatedFunction,
-    Vertex,
     as_mask,
     estimate_influence_bernoulli,
     estimate_influence_hamming,
     exact_fourier_first_order,
     exact_weighted_influence,
-    flip,
     flip_profile,
     level_table,
-    measure,
+    level_weights,
+    mask_from_string,
+    mask_string,
     sample_bernoulli,
     sample_level,
     truth_table,
@@ -50,43 +50,33 @@ class Zero:
 
 
 # ---------------------------------------------------------------------------
-# Vertices
+# Masks
 # ---------------------------------------------------------------------------
 
 
-def test_vertex_string_roundtrip():
-    v = Vertex.from_string("10001101")
-    assert str(v) == "10001101"
-    assert v.level == 4
-    assert v.indices() == (0, 4, 5, 7)
+def test_mask_string_roundtrip():
+    mask = mask_from_string("10001101", 8)
+    assert mask == (1 << 0) | (1 << 4) | (1 << 5) | (1 << 7)
+    assert mask_string(mask, 8) == "10001101"
+    assert mask_string(0, 0) == "" and mask_from_string("", 0) == 0
 
 
-def test_flip_examples():
-    assert str(flip(Vertex.from_string("101"), 0)) == "001"
-    assert str(flip(Vertex.from_string("000"), 2)) == "001"
-
-
-@given(st.integers(1, 16), st.data())
-def test_flip_involution(n, data):
-    bits = data.draw(st.integers(0, (1 << n) - 1))
-    i = data.draw(st.integers(0, n - 1))
-    v = Vertex(bits, n)
-    assert flip(flip(v, i), i) == v
-
-
-def test_vertex_validation():
+@pytest.mark.parametrize("s", ["1000110", "100011010", "1000110x", "1000 101", "+0001101"])
+def test_mask_from_string_rejects_wrong_length_and_non_binary(s):
     with pytest.raises(ValueError):
-        Vertex(8, 3)
-    with pytest.raises(IndexError):
-        Vertex(0, 3).flip(3)
+        mask_from_string(s, 8)
 
 
-def test_subset_and_intersect():
-    a = Vertex.from_string("1010")
-    b = Vertex.from_string("1110")
-    assert a.issubset(b)
-    assert not b.issubset(a)
-    assert a.intersect(b) == a
+def test_as_mask_rejects_out_of_range():
+    assert as_mask(7, 3) == 7 and as_mask([0, 2], 3) == 5
+    for bad in (8, -1, np.int64(8)):
+        with pytest.raises(ValueError):
+            as_mask(bad, 3)
+    for bad in ([3], [-1], np.array([0, 3])):
+        with pytest.raises(IndexError):
+            as_mask(bad, 3)
+    with pytest.raises(TypeError):
+        as_mask([0.5], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +85,15 @@ def test_subset_and_intersect():
 
 
 def test_measure_examples():
-    assert measure(Vertex.from_string("101"), 0.5) == pytest.approx(0.125)
-    assert measure(Vertex.from_string("110"), 0.25) == pytest.approx(0.046875)
-    assert measure(Vertex.from_string("000"), 0.3) == pytest.approx(0.343)
+    assert level_weights(3, 0.5)[2] == pytest.approx(0.125)
+    assert level_weights(3, 0.25)[2] == pytest.approx(0.046875)
+    assert level_weights(3, 0.3)[0] == pytest.approx(0.343)
 
 
 def test_measure_rejects_bad_q():
-    v = Vertex.from_string("10")
     for q in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            measure(v, q)
+            level_weights(2, q)
 
 
 @pytest.mark.parametrize("n", [1, 5, 12, 20])
@@ -118,9 +107,8 @@ def test_measure_normalisation(n, q):
 
 
 def test_measure_exact_fraction():
-    v = Vertex.from_string("110")
-    got = measure(v, Fraction(1, 4))
-    assert got == Fraction(3, 64)
+    # a mask with two of three bits set, such as "110"
+    assert level_weights(3, Fraction(1, 4))[2] == Fraction(3, 64)
 
 
 def test_bernoulli_measure_constants():
@@ -151,7 +139,7 @@ def test_sample_bernoulli_determinism():
 def test_sample_bernoulli_mean_level():
     rng = np.random.default_rng(0)
     n, q, draws = 10, 0.2, 100_000
-    total = sum(sample_bernoulli(n, q, rng).level for _ in range(draws))
+    total = sum(sample_bernoulli(n, q, rng).bit_count() for _ in range(draws))
     mean = total / (draws * n)
     sigma = math.sqrt(q * (1 - q) / (draws * n))
     assert abs(mean - q) < 3 * sigma
@@ -160,15 +148,15 @@ def test_sample_bernoulli_mean_level():
 def test_sample_bernoulli_fair_coin():
     rng = np.random.default_rng(1)
     draws = 100_000
-    ones = sum(sample_bernoulli(1, 0.5, rng).bits for _ in range(draws))
+    ones = sum(sample_bernoulli(1, 0.5, rng) for _ in range(draws))
     sigma = math.sqrt(0.25 / draws)
     assert abs(ones / draws - 0.5) < 3 * sigma
 
 
 def test_sample_level_extremes():
     rng = np.random.default_rng(2)
-    assert sample_level(6, 0, rng).bits == 0
-    assert sample_level(6, 6, rng).bits == (1 << 6) - 1
+    assert sample_level(6, 0, rng) == 0
+    assert sample_level(6, 6, rng) == (1 << 6) - 1
     with pytest.raises(ValueError):
         sample_level(6, 7, rng)
 
@@ -179,7 +167,7 @@ def test_sample_level_uniformity():
     counts = {}
     for _ in range(draws):
         v = sample_level(n, k, rng)
-        counts[v.bits] = counts.get(v.bits, 0) + 1
+        counts[v] = counts.get(v, 0) + 1
     assert len(counts) == 10
     sigma = math.sqrt(0.1 * 0.9 / draws)
     for c in counts.values():
@@ -220,7 +208,6 @@ def test_masks_from_numpy_indices_keep_high_bits():
     idx = np.array([0, 70, 150])
     want = (1 << 0) | (1 << 70) | (1 << 150)
     assert as_mask(idx, 200) == want
-    assert Vertex.from_indices(idx, 200).bits == want
     assert cube.mask_rows(want, 200).tolist() == [0, 70, 150]
     assert cube.flags_mask(np.isin(np.arange(200), idx)) == want
 
@@ -243,9 +230,7 @@ def test_zero_function_influence():
 
 
 def test_single_structure_influences_at_half():
-    spec = StructureSpec(
-        n=8, p=2, upper_zeros=(Vertex.from_indices(range(6), 8),)
-    )
+    spec = StructureSpec(n=8, p=2, upper_zeros=(as_mask(range(6), 8),))
     f = make_structured_bf(spec)
     q = Fraction(1, 2)
     inlier = exact_weighted_influence(f, 0, q)
@@ -335,7 +320,7 @@ def _reference_bernoulli(f, i, q, h, seed, mode):
         bits = sum(1 << int(j) for j in np.flatnonzero(row))
         for b in (bits, bits ^ (1 << i)):
             chi = m.q_minus if (b >> i) & 1 else m.q_plus
-            weight = measure(Vertex(b, f.n), q) if mode == "paper" else 1.0
+            weight = level_weights(f.n, q)[b.bit_count()] if mode == "paper" else 1.0
             acc += f(b) * chi * weight
     denom = h if mode == "paper" else 2 * (h // 2)
     return -acc / (denom * math.sqrt(q * (1 - q)))
@@ -369,7 +354,7 @@ def test_unbiased_estimator_converges():
 
 
 def test_hamming_estimator_matches_exhaustive_counts():
-    spec = StructureSpec(n=8, p=2, upper_zeros=(Vertex.from_indices(range(6), 8),))
+    spec = StructureSpec(n=8, p=2, upper_zeros=(as_mask(range(6), 8),))
     f = make_structured_bf(spec)
     # level-4 sampling: inliers flip nowhere, outliers flip somewhere
     for i in range(6):

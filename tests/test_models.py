@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maxcon import models
 from maxcon.cube import (
     ENUMERATION_CAP,
     TabulatedFunction,
-    Vertex,
     as_mask,
     estimate_influence_bernoulli,
+    mask_from_string,
     mask_rows,
 )
 from maxcon.datagen import GenSpec, gen_hyperplane_data
@@ -419,7 +420,7 @@ def test_oracle_all_masks_match_truth_table_and_cover_masks():
     assert oracle._thetas
     for coverage, cover, theta in oracle._thetas:
         within = np.flatnonzero(np.abs(ds.features @ theta - ds.responses) <= 0.1)
-        assert cover == Vertex.from_indices(within, 12).bits
+        assert cover == as_mask(within, 12)
         assert coverage == cover.bit_count()
 
 
@@ -501,10 +502,12 @@ def test_exact_maxcon_minimal_n():
     assert inliers == (0, 1, 2)
 
 
-def test_exact_maxcon_budget_refusal():
-    data = gen_hyperplane_data(GenSpec(n=30, dim=2, outlier_count=5, seed=5))
-    with pytest.raises(BudgetError, match="4060"):
-        exact_maxcon_bases(data.dataset, 0.1, max_bases=1000)
+def test_exact_maxcon_budget_refusal(monkeypatch):
+    # 110 choose 3 = 215,820 triples exceed the cap; a fit would call None
+    data = gen_hyperplane_data(GenSpec(n=110, dim=2, outlier_count=5, seed=5))
+    monkeypatch.setattr(models, "_chebyshev_combos", None)
+    with pytest.raises(BudgetError, match="215820"):
+        exact_maxcon_bases(data.dataset, 0.1)
 
 
 def test_exact_maxcon_tie_break_first_enumeration():
@@ -537,17 +540,19 @@ def test_exact_maxcon_on_rank_deficient_features_keeps_one_point():
         assert minimax_fit(ds, inliers).value <= 0.1
 
 
-def test_exact_maxcon_counts_every_fallback_subset_against_the_cap():
+def test_exact_maxcon_counts_every_fallback_subset_against_the_cap(monkeypatch):
     ds = LinearDataset(np.column_stack([np.ones(4), np.arange(4.0)]), np.array([0.0, 5.0, 0.0, 5.0]))
     # 4 triples pass the cap, then 6 pairs and 4 singletons do not
+    monkeypatch.setattr(models, "DEFAULT_MAX_BASES", 9)
     with pytest.raises(BudgetError):
-        exact_maxcon_bases(ds, 0.1, max_bases=9)
-    assert len(exact_maxcon_bases(ds, 0.1, max_bases=10)[0]) == 2
+        exact_maxcon_bases(ds, 0.1)
+    monkeypatch.setattr(models, "DEFAULT_MAX_BASES", 10)
+    assert len(exact_maxcon_bases(ds, 0.1)[0]) == 2
 
 
 def test_enumerate_structured_toy():
     zeros = tuple(
-        Vertex.from_string(s) for s in ("00111111", "10001101", "01100010", "11010000")
+        mask_from_string(s, 8) for s in ("00111111", "10001101", "01100010", "11010000")
     )
     spec = StructureSpec(n=8, p=2, upper_zeros=zeros)
     f = make_structured_bf(spec)

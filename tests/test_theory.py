@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxcon.cube import Vertex, exact_weighted_influence, truth_table
+from maxcon.cube import as_mask, exact_weighted_influence, mask_from_string, mask_string, truth_table
 from maxcon.errors import ContractError
 from maxcon.theory import (
     StructureSpec,
@@ -26,7 +26,7 @@ def asymmetric_two_structure_spec():
     return StructureSpec(
         n=8,
         p=2,
-        upper_zeros=(Vertex.from_string("10001101"), Vertex.from_string("00111111")),
+        upper_zeros=(mask_from_string("10001101", 8), mask_from_string("00111111", 8)),
     )
 
 
@@ -36,27 +36,31 @@ def asymmetric_two_structure_spec():
 
 
 def test_detect_pseudo_example():
-    a = Vertex.from_string("10001101")
-    b = Vertex.from_string("00111111")
+    a = mask_from_string("10001101", 8)
+    b = mask_from_string("00111111", 8)
     (pz,) = detect_pseudo_upper_zeros([a, b], 2)
-    assert str(pz) == "00001101"
-    assert pz.level == 3
+    assert mask_string(pz, 8) == "00001101"
+    assert pz.bit_count() == 3
 
 
 def test_detect_pseudo_disjoint_and_boundary():
-    a = Vertex.from_indices(range(0, 4), 10)
-    b = Vertex.from_indices(range(4, 9), 10)
+    a = as_mask(range(0, 4), 10)
+    b = as_mask(range(4, 9), 10)
     assert detect_pseudo_upper_zeros([a, b], 2) == ()
-    c = Vertex.from_indices(range(2, 7), 10)  # overlap with a of exactly p
+    c = as_mask(range(2, 7), 10)  # overlap with a of exactly p
     assert detect_pseudo_upper_zeros([a, c], 2) == ()
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        StructureSpec(n=8, p=2, upper_zeros=(Vertex.from_indices(range(2), 8),))
-    nested = (Vertex.from_indices(range(4), 8), Vertex.from_indices(range(6), 8))
-    with pytest.raises(ValueError):
+        StructureSpec(n=8, p=2, upper_zeros=(as_mask(range(2), 8),))
+    nested = (as_mask(range(4), 8), as_mask(range(6), 8))
+    with pytest.raises(ValueError, match="11110000 is contained in 11111100"):
         StructureSpec(n=8, p=2, upper_zeros=nested)
+    # a zero must be an int mask of width n
+    for bad in (1 << 8, -1, "11110000", as_mask(range(4), 8) + 0.0):
+        with pytest.raises(ValueError, match="not a mask of width n=8"):
+            StructureSpec(n=8, p=2, upper_zeros=(bad,))
 
 
 def test_membership_patterns():
@@ -82,7 +86,7 @@ def test_structured_function_no_zeros():
 
 
 def test_structured_function_full_zero():
-    spec = StructureSpec(n=6, p=2, upper_zeros=(Vertex.from_indices(range(6), 6),))
+    spec = StructureSpec(n=6, p=2, upper_zeros=(as_mask(range(6), 6),))
     f = make_structured_bf(spec)
     assert not truth_table(f).any()
 
@@ -100,7 +104,7 @@ def test_upper_zero_recovery():
     spec = StructureSpec(
         n=9,
         p=2,
-        upper_zeros=(Vertex.from_indices(range(5), 9), Vertex.from_indices(range(5, 9), 9)),
+        upper_zeros=(as_mask(range(5), 9), as_mask(range(5, 9), 9)),
     )
     f = make_structured_bf(spec)
     found = set(enumerate_upper_zeros(f))
@@ -108,8 +112,8 @@ def test_upper_zero_recovery():
     assert planted <= found
     # the rest are exactly the level-p vertices not under any planted zero
     for v in found - planted:
-        assert v.level == 2
-        assert not any(v.issubset(z) for z in spec.upper_zeros)
+        assert v.bit_count() == 2
+        assert not any(v & ~z == 0 for z in spec.upper_zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +210,7 @@ def test_ordering_two_disjoint_structures():
     spec = StructureSpec(
         n=12,
         p=2,
-        upper_zeros=(Vertex.from_indices(range(5), 12), Vertex.from_indices(range(5, 11), 12)),
+        upper_zeros=(as_mask(range(5), 12), as_mask(range(5, 11), 12)),
     )
     report = ordering_check(spec, 0.3)
     assert report.ok
@@ -216,7 +220,7 @@ def test_ordering_two_disjoint_structures():
 
 
 def test_ordering_single_structure():
-    spec = StructureSpec(n=8, p=2, upper_zeros=(Vertex.from_indices(range(6), 8),))
+    spec = StructureSpec(n=8, p=2, upper_zeros=(as_mask(range(6), 8),))
     report = ordering_check(spec, Fraction(2, 5))
     assert report.ok
     assert report.comparisons == 1
@@ -252,11 +256,11 @@ def test_grid_specs_are_well_formed():
         for i in range(len(zs)):
             for j in range(i + 1, len(zs)):
                 for k in range(j + 1, len(zs)):
-                    assert zs[i].intersect(zs[j]).intersect(zs[k]).level <= spec.p
+                    assert (zs[i] & zs[j] & zs[k]).bit_count() <= spec.p
         pz = spec.pseudo_zeros
         for i in range(len(pz)):
             for j in range(i + 1, len(pz)):
-                assert pz[i].intersect(pz[j]).level <= spec.p
+                assert (pz[i] & pz[j]).bit_count() <= spec.p
 
 
 def test_grid_closed_forms_match_brute_force_single_q():
