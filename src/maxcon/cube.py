@@ -31,6 +31,8 @@ from .errors import BudgetError
 
 # Exhaustive 2**n work is refused above this dimension.
 ENUMERATION_CAP = 22
+# Cells of one membership table in sample_level_rows (rows x n booleans).
+FLOYD_TABLE_CELLS = 1 << 22
 
 # --------------------------------------------------------------------------
 # Masks
@@ -159,11 +161,55 @@ def sample_bernoulli(n: int, q: float, rng) -> int:
     return flags_mask(_as_generator(rng).random(n) < q)
 
 
-def sample_level(n: int, k: int, rng) -> int:
-    """Draw a uniformly random width-n mask with exactly k set bits."""
+def sample_level_rows(n: int, k: int, count: int, rng) -> np.ndarray:
+    """``count`` rows of k distinct indices below n, as a (count, k) int64 array.
+
+    Row r equals the r-th of ``count`` successive ``gen.choice(n, size=k,
+    replace=False)`` calls, and the generator is left in the same state.
+    numpy's ``choice`` runs Floyd's algorithm, one bounded draw on [0, j] for
+    j = n-k .. n-1, then shuffles the picks with one bounded draw on [0, i]
+    for i = k-1 .. 1.  One ``gen.integers(0, bounds, endpoint=True)`` call
+    over every row's bounds makes exactly those draws, and Floyd's rule (a
+    draw already taken becomes j) and the swaps are then replayed column by
+    column for all rows at once, with a membership table of at most
+    ``FLOYD_TABLE_CELLS`` booleans per block of rows.  Where numpy shuffles
+    the tail of the whole range instead (n > 10000 and k > n // 50), the rows
+    are drawn by ``choice`` one at a time.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"level {k} out of range for n={n}")
-    return as_mask(_as_generator(rng).choice(n, size=k, replace=False), n)
+    if count < 0:
+        raise ValueError(f"row count must be nonnegative, got {count}")
+    gen = _as_generator(rng)
+    if n > 10000 and k > n // 50:
+        rows = [gen.choice(n, size=k, replace=False) for _ in range(count)]
+        return np.array(rows, dtype=np.int64).reshape(count, k)
+    picks = np.empty((count, k), dtype=np.int64)
+    if count == 0 or k == 0:
+        return picks
+    floyd = np.arange(n - k, n, dtype=np.int64)
+    bounds = np.concatenate([floyd, np.arange(k - 1, 0, -1, dtype=np.int64)])
+    draws = gen.integers(0, np.tile(bounds, count), endpoint=True).reshape(count, 2 * k - 1)
+    rows = np.arange(count)
+    block = max(1, FLOYD_TABLE_CELLS // n)
+    for lo in range(0, count, block):
+        d, out = draws[lo : lo + block], picks[lo : lo + block]
+        r = rows[: len(d)]
+        taken = np.zeros((len(d), n), dtype=bool)
+        for c, j in enumerate(floyd):
+            out[:, c] = np.where(taken[r, d[:, c]], j, d[:, c])
+            taken[r, out[:, c]] = True
+    for c, i in enumerate(range(k - 1, 0, -1), start=k):
+        swap = draws[:, c]
+        last = picks[:, i].copy()
+        picks[:, i] = picks[rows, swap]
+        picks[rows, swap] = last
+    return picks
+
+
+def sample_level(n: int, k: int, rng) -> int:
+    """Draw a uniformly random width-n mask with exactly k set bits."""
+    return as_mask(sample_level_rows(n, k, 1, rng)[0], n)
 
 
 # --------------------------------------------------------------------------
@@ -504,7 +550,9 @@ def estimate_influence_hamming(
     The vertices are drawn from level k of the sub-cube of ``support``
     (ascending parent indices, the whole cube by default), and ``indices`` and
     the score keys are parent indices within it.  Each index consumes the
-    substream of (seed, position of the index in the support).  Scores are
+    substream of (seed, position of the index in the support): its h samples
+    are the rows of one ``sample_level_rows`` call, equal to h successive
+    ``choice(len(support), size=k, replace=False)`` draws.  Scores are
     left unnormalised (fractions of h rather than slice measures) since only
     their relative order is consumed.  Flips cross to level k-1 or k+1
     depending on the sampled bit.  Indices are scored in order; ``workers``
@@ -521,7 +569,7 @@ def estimate_influence_hamming(
 
     def draw(i: int) -> list[int]:
         gen = substream(seed, _position(positions, i))
-        picks = np.array([gen.choice(len(sup), size=k, replace=False) for _ in range(h)])
+        picks = sample_level_rows(len(sup), k, h, gen)
         flags = np.zeros((h, n), dtype=bool)
         flags[np.arange(h)[:, None], cols[picks]] = True
         return flags_masks(flags)

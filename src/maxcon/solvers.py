@@ -29,6 +29,7 @@ from .cube import (
     estimate_influence_hamming,
     flags_mask,
     mask_rows,
+    sample_level_rows,
 )
 from .errors import ContractError, SolverError
 from .models import (
@@ -315,14 +316,16 @@ def ransac(
     A positive refinement depth re-fits each new best hypothesis on its
     consensus set by a minimax fit, which is the locally-optimised variant.
 
-    Hypotheses are scored in chunks of at most ``CHUNK``: one ``gen.choice``
-    per hypothesis, as in a one-at-a-time loop, then one stacked solve and
-    one consensus count for the chunk, which is then walked in order.  The
-    results, iterations and evaluation counts are those of the one-at-a-time
-    loop.  The clock is read once per chunk, so a time budget can overrun by
-    at most one chunk (a few milliseconds).  A ``Generator`` passed as
-    ``rng`` may be advanced past the last hypothesis used when a confidence
-    or time budget stops mid-chunk; a seed is unaffected.
+    Hypotheses are scored in chunks of at most ``CHUNK``: the chunk's
+    p-subsets come from one ``sample_level_rows`` call, whose rows and
+    generator state equal one ``gen.choice(n, size=p, replace=False)`` per
+    hypothesis, then one stacked solve and one consensus count score the
+    chunk, which is then walked in order.  The results, iterations and
+    evaluation counts are those of the one-at-a-time loop.  The clock is
+    read once per chunk, so a time budget can overrun by at most one chunk
+    (a few milliseconds).  A ``Generator`` passed as ``rng`` may be advanced
+    past the last hypothesis used when a confidence or time budget stops
+    mid-chunk; a seed is unaffected.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -348,7 +351,7 @@ def ransac(
             exhausted = True
             break
         size = min(CHUNK, target - it, adaptive - it)
-        picks = np.array([gen.choice(n, size=p, replace=False) for _ in range(size)])
+        picks = sample_level_rows(n, p, size, gen)
         thetas, usable = _stacked_solve(feats[picks], resp[picks])
         usable &= np.isfinite(thetas).all(axis=1)
         counts = consensus_counts(dataset, epsilon, thetas)

@@ -22,6 +22,7 @@ from maxcon.cube import (
     mask_string,
     sample_bernoulli,
     sample_level,
+    sample_level_rows,
     truth_table,
     upward_closure_table,
 )
@@ -172,6 +173,44 @@ def test_sample_level_uniformity():
     sigma = math.sqrt(0.1 * 0.9 / draws)
     for c in counts.values():
         assert abs(c / draws - 0.1) < 3 * sigma
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize(
+    "n, k",
+    # k = 0, 1, p = 8 and n; numpy's Floyd branch up to n = 10000, its tail
+    # shuffle from n = 10001 when k > n // 50
+    [(12, 0), (12, 1), (12, 8), (12, 12), (200, 8), (10000, 201), (10001, 201), (20001, 401)],
+)
+def test_sample_level_rows_equal_per_row_choice(monkeypatch, bitgen, n, k):
+    for cells in (cube.FLOYD_TABLE_CELLS, 1):  # one table, and one per row
+        monkeypatch.setattr(cube, "FLOYD_TABLE_CELLS", cells)
+        for count in (1, 127, 128):
+            got_gen, want_gen = np.random.Generator(bitgen(count)), np.random.Generator(bitgen(count))
+            # leave half of a buffered 64-bit output for the next 32-bit draw
+            assert got_gen.integers(0, 7, dtype=np.uint32) == want_gen.integers(0, 7, dtype=np.uint32)
+            got = sample_level_rows(n, k, count, got_gen)
+            want = [want_gen.choice(n, size=k, replace=False) for _ in range(count)]
+            assert got.dtype == np.int64 and got.shape == (count, k)
+            assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(count, k))
+            assert _same_state(got_gen.bit_generator.state, want_gen.bit_generator.state)
+            assert got_gen.random() == want_gen.random()
+            assert got_gen.integers(0, 1 << 40) == want_gen.integers(0, 1 << 40)
+
+
+def test_sample_level_rows_validation():
+    rng = np.random.default_rng(0)
+    assert sample_level_rows(5, 2, 0, rng).shape == (0, 2)
+    with pytest.raises(ValueError):
+        sample_level_rows(5, 6, 1, rng)
+    with pytest.raises(ValueError):
+        sample_level_rows(5, 2, -1, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +405,32 @@ def test_hamming_estimator_matches_exhaustive_counts():
         assert flip_profile(f, i)[4] > 0
         rep = estimate_influence_hamming(f, [i], 4, 64, seed=5)
         assert rep.scores[i] > 0.0
+
+
+def reference_hamming(f, indices, k, h, seed, support=None):
+    """One ``gen.choice`` per sample: the loop that batched level draws replaced."""
+    sup = list(range(f.n)) if support is None else list(support)
+    scores = {}
+    for i in indices:
+        gen = cube.substream(seed, sup.index(i))
+        flips = 0
+        for _ in range(h):
+            bits = as_mask([sup[j] for j in gen.choice(len(sup), size=k, replace=False)], f.n)
+            flips += f(bits) != f(bits ^ (1 << i))
+        scores[i] = flips / h
+    return scores
+
+
+@pytest.mark.parametrize("support", [None, (0, 2, 3, 5, 6, 8)])
+def test_hamming_estimator_matches_sequential_reference(support):
+    f = random_monotone_function(9, np.random.default_rng(34), generators=4)
+    indices = range(9) if support is None else support
+    flips = 0.0
+    for k in (1, 3, 5):
+        rep = estimate_influence_hamming(f, indices, k, 50, seed=12, support=support)
+        assert rep.scores == reference_hamming(f, indices, k, 50, 12, support)
+        flips += sum(rep.scores.values())
+    assert flips > 0
 
 
 class _Restriction:
