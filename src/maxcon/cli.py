@@ -43,8 +43,6 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, Fraction):
         return {"fraction": f"{obj.numerator}/{obj.denominator}", "value": float(obj)}
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serialisable: {type(obj)}")
 
 
@@ -134,8 +132,6 @@ def _cmd_influence(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if args.action != "verify":  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown theory action {args.action}")
     q = _parse_q(args.q)
     if args.spec:
         with open(args.spec) as fh:
@@ -223,7 +219,7 @@ def build_parser() -> JsonArgumentParser:
     f.add_argument("--samples", type=int, default=300)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--mode", choices=["paper", "unbiased"], default="paper")
-    f.add_argument("--local-expansion", choices=["post_loop", "per_iteration", "off"], default="post_loop")
+    f.add_argument("--local-expansion", choices=["post_loop", "off"], default="post_loop")
     f.add_argument("--level-offset", type=int, default=1)
     f.add_argument("--iterations", type=int, default=None)
     f.add_argument("--confidence", type=float, default=0.99)
@@ -244,8 +240,6 @@ def build_parser() -> JsonArgumentParser:
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--mode", choices=["paper", "unbiased"], default="paper")
     i.add_argument("--indices", default="all")
-    i.add_argument("--workers", type=int, default=None,
-                   help="deprecated and ignored; indices are scored in order")
     i.add_argument("--tabulate", action="store_true",
                    help="precompute the full truth table before estimating")
     i.add_argument("--out", default=None)

@@ -241,10 +241,6 @@ class TabulatedFunction:
     def truth_table(self) -> np.ndarray:
         return self.table
 
-    @classmethod
-    def from_function(cls, f: BooleanFunction) -> "TabulatedFunction":
-        return cls(truth_table(f), f.n)
-
 
 def _check_cap(n: int) -> None:
     if n > ENUMERATION_CAP:
@@ -469,7 +465,6 @@ def estimate_influence_bernoulli(
     h: int,
     seed,
     mode: str = "paper",
-    workers: int | None = None,
     support: Iterable[int] | None = None,
 ) -> InfluenceReport:
     """Sampled influence under bit bias q from h/2 draws paired with their flips.
@@ -487,8 +482,7 @@ def estimate_influence_bernoulli(
 
     Each index consumes an independent substream derived from (seed, position
     of the index in the support), and on the whole cube the position is the
-    index itself.  Indices are scored in order; ``workers`` is deprecated and
-    ignored.
+    index itself.  Indices are scored in order.
     """
     _check_q(q)
     if h < 2:
@@ -542,7 +536,6 @@ def estimate_influence_hamming(
     k: int,
     h: int,
     seed,
-    workers: int | None = None,
     support: Iterable[int] | None = None,
 ) -> InfluenceReport:
     """Fraction of h uniform level-k vertices whose value flips with bit i.
@@ -555,8 +548,7 @@ def estimate_influence_hamming(
     ``choice(len(support), size=k, replace=False)`` draws.  Scores are
     left unnormalised (fractions of h rather than slice measures) since only
     their relative order is consumed.  Flips cross to level k-1 or k+1
-    depending on the sampled bit.  Indices are scored in order; ``workers``
-    is deprecated and ignored.
+    depending on the sampled bit.  Indices are scored in order.
     """
     n = f.n
     sup, positions = _support_positions(n, support)

@@ -49,13 +49,18 @@ _GEN_KEYS = (
 _SPEC_OPTIONS = {
     "q": "q", "samples": "samples", "level_offset": "hamming_level_offset",
     "local_expansion": "local_expansion", "mode": "estimator_mode",
-    "time_budget": "time_budget", "workers": "workers", "allow_extreme": "allow_extreme",
+    "time_budget": "time_budget", "allow_extreme": "allow_extreme",
 }
+_SPEC_KEYS = {"name", "budget", "refinement_depth", *_SPEC_OPTIONS}
 
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one experiment batch."""
+    """Declarative description of one experiment batch.
+
+    ``seeds`` has one seed per repetition (per trial in an influence sweep).
+    A method-spec key outside ``_SPEC_KEYS`` is refused before the batch runs.
+    """
 
     dataset: dict
     epsilon: float
@@ -78,10 +83,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if self.seeds is not None and len(self.seeds) != self.repetitions:
-            raise ValueError("seeds list must match repetitions")
+        per = "trials" if self.kind == "influence_sweep" else "repetitions"
+        if self.seeds is not None and len(self.seeds) != getattr(self, per):
+            raise ValueError(f"seeds list must match {per}")
         if self.kind == "solver_comparison" and not self.methods:
             raise ValueError("solver_comparison needs a methods list")
+        for spec in self.methods:
+            unknown = sorted(set(spec) - _SPEC_KEYS)
+            if unknown:
+                raise ValueError(f"unknown method-spec keys {unknown} in {spec!r}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":

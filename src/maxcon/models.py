@@ -568,7 +568,7 @@ class FeasibilityOracle:
         cube._check_cap(n)
         if n <= p:
             return np.zeros(1 << n, dtype=np.uint8)
-        combos = np.array(list(itertools.combinations(range(n), p + 1)), dtype=np.intp)
+        combos = _combinations(n, p + 1)
         values, _ = _chebyshev_combos(self.dataset.features, self.dataset.responses, combos)
         bad = combos[values > self.epsilon]
         generators = [int(np.bitwise_or.reduce(1 << row.astype(np.int64))) for row in bad]

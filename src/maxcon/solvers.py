@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .cube import (
+    _as_generator,
     as_mask,
     estimate_influence_bernoulli,
     estimate_influence_hamming,
@@ -55,16 +56,16 @@ class SolverConfig:
 
     The recommended operating ranges ((p+1)/n <= q <= 0.4 and
     100 <= samples <= 500) are enforced unless ``allow_extreme`` is set.
-    ``q=None`` picks 0.3 clamped into the recommended range.  ``workers`` is
-    deprecated and ignored: estimation runs in order, and the field is kept
-    so that existing configs and result JSON keep their keys.
+    ``q=None`` picks 0.3 clamped into the recommended range.  ``workers``
+    changes nothing; it is kept only because the benchmark harness builds
+    ``SolverConfig(..., workers=1)``.
     """
 
     epsilon: float
     q: float | None = None
     samples: int = 300
     hamming_level_offset: int = 1
-    local_expansion: str = "post_loop"  # post_loop | per_iteration | off
+    local_expansion: str = "post_loop"  # post_loop (one pass after the loop) | off
     estimator_mode: str = "paper"  # paper | unbiased
     seed: int = 0
     time_budget: float | None = None
@@ -74,7 +75,7 @@ class SolverConfig:
     def validate(self, n: int, p: int) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.local_expansion not in ("post_loop", "per_iteration", "off"):
+        if self.local_expansion not in ("post_loop", "off"):
             raise ValueError(f"unknown local_expansion {self.local_expansion!r}")
         if self.estimator_mode not in ("paper", "unbiased"):
             raise ValueError(f"unknown estimator_mode {self.estimator_mode!r}")
@@ -156,18 +157,14 @@ def _expand_pass(oracle: FeasibilityOracle, mask: int) -> int:
 
 
 def local_expansion(
-    dataset: LinearDataset,
-    epsilon: float,
-    inliers: Iterable[int],
-    oracle: FeasibilityOracle | None = None,
+    dataset: LinearDataset, epsilon: float, inliers: Iterable[int]
 ) -> tuple[int, ...]:
     """Greedily add points that keep the set feasible; one pass in index order.
 
     The input set must be feasible.  The output is a feasible superset and a
-    fixed point of the pass itself.
+    fixed point of the pass itself, which the solvers run once after removal.
     """
-    if oracle is None:
-        oracle = FeasibilityOracle(dataset, epsilon)
+    oracle = FeasibilityOracle(dataset, epsilon)
     mask = as_mask(inliers, oracle.n)
     if oracle(mask) != 0:
         raise ContractError("local_expansion requires a feasible inlier set")
@@ -228,8 +225,6 @@ def _influence_loop(dataset: LinearDataset, config: SolverConfig, kind: str) -> 
         victim = min(fit.active_set, key=lambda t: (-scores[t], t))
         mask &= ~(1 << victim)
         iterations += 1
-        if config.local_expansion == "per_iteration":
-            mask = _expand_pass(oracle, mask)
     if config.local_expansion != "off" and not exhausted:
         mask = _expand_pass(oracle, mask)
     inliers = tuple(int(i) for i in mask_rows(mask, n))
@@ -270,7 +265,10 @@ def mbf_maxcon(dataset: LinearDataset, config: SolverConfig) -> SolveResult:
 
 @dataclass
 class RansacBudget:
-    """Stopping rule: fixed iterations, wall clock, or confidence-adaptive."""
+    """Stopping rule: fixed iterations, wall clock, or confidence-adaptive.
+
+    ``max_iterations`` caps only the time and confidence rules, not ``iterations``.
+    """
 
     iterations: int | None = None
     time: float | None = None
@@ -334,7 +332,7 @@ def ransac(
         raise ContractError(f"need n >= p, got n={n}, p={p}")
     b = _as_budget(budget)
     seed = rng if isinstance(rng, (int, np.integer)) else None
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = _as_generator(rng)
     feats, resp = dataset.features, dataset.responses
     t0 = time.perf_counter()
     best_count = 0
@@ -344,7 +342,6 @@ def ransac(
     evals = 0
     exhausted = False
     target = b.iterations if b.iterations is not None else b.max_iterations
-    target = min(target, b.max_iterations)
     adaptive = math.inf  # the confidence target, set by a confidence budget
     while it < min(target, adaptive):
         if b.time is not None and time.perf_counter() - t0 > b.time:

@@ -255,8 +255,8 @@ def test_criterion_8_property_suites():
 
     # seed determinism across thread counts
     f = random_monotone_function(9, np.random.default_rng(3))
-    est1 = estimate_influence_bernoulli(f, range(9), 0.3, 80, seed=5, workers=1)
-    est4 = estimate_influence_bernoulli(f, range(9), 0.3, 80, seed=5, workers=4)
+    est1 = estimate_influence_bernoulli(f, range(9), 0.3, 80, seed=5)
+    est4 = estimate_influence_bernoulli(f, range(9), 0.3, 80, seed=5)
     solver1 = wi_maxcon(inst.dataset, SolverConfig(epsilon=0.1, q=0.3, samples=150, seed=9, workers=1))
     solver4 = wi_maxcon(inst.dataset, SolverConfig(epsilon=0.1, q=0.3, samples=150, seed=9, workers=4))
     determinism_ok = est1.scores == est4.scores and solver1.inlier_set == solver4.inlier_set

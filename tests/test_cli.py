@@ -124,6 +124,20 @@ def test_hamming_influence_without_level_is_usage_error(tmp_path, capsys):
     assert "--level" in error["message"]
 
 
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    data = tmp_path / "line.csv"
+    run_cli(["gen", "--n", "8", "--dim", "2", "--seed", "1", "--out", str(data)], capsys)
+    for extra in (
+        ["fit", "--method", "wi", "--local-expansion", "per_iteration"],
+        ["influence", "--workers", "2"],
+    ):
+        code, out, err = run_cli(extra + ["--data", str(data), "--eps", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "usage"
+
+
 def test_theory_verify_spec_file(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n": 8, "p": 2, "zeros": ["10001101", "00111111"]}))

@@ -480,18 +480,6 @@ def test_support_matches_reference_restriction():
         estimate_influence_bernoulli(f, [2], 0.3, 80, seed=11, support=(2, 1))
 
 
-def test_estimators_independent_of_worker_count():
-    rng = np.random.default_rng(17)
-    f = random_monotone_function(9, rng)
-    kwargs = dict(q=0.35, h=60, seed=8, mode="paper")
-    seq = estimate_influence_bernoulli(f, range(9), workers=1, **kwargs)
-    par = estimate_influence_bernoulli(f, range(9), workers=4, **kwargs)
-    assert seq.scores == par.scores
-    seq_h = estimate_influence_hamming(f, range(9), 4, 60, seed=8, workers=1)
-    par_h = estimate_influence_hamming(f, range(9), 4, 60, seed=8, workers=4)
-    assert seq_h.scores == par_h.scores
-
-
 class _CallOnly:
     """A feasibility oracle seen as a plain Boolean function: ``n`` and calls only."""
 

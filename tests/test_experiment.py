@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from maxcon import experiment
 from maxcon.errors import ContractError
 from maxcon.experiment import ExperimentConfig, build_dataset, run_experiment
 from maxcon.models import save_dataset_csv
@@ -109,3 +110,44 @@ def test_config_validation():
         ExperimentConfig(
             dataset={}, epsilon=0.1, methods=[{"name": "wi"}], repetitions=2, seeds=[1]
         )
+
+
+def test_unknown_method_spec_key_is_refused_before_running():
+    base = dict(dataset={"source": "generated", "n": 10, "dim": 2, "seed": 1}, epsilon=0.1)
+    # a misspelt "samples" must not run the default 300 samples unnoticed
+    for spec in ({"name": "wi", "q": 0.3, "sample": 100}, {"name": "wi", "workers": 2}):
+        with pytest.raises(ValueError, match="unknown method-spec keys"):
+            ExperimentConfig(methods=[{"name": "exact"}, spec], **base)
+    ExperimentConfig(
+        methods=[
+            {"name": "wi", "q": 0.3, "samples": 150, "level_offset": 1, "mode": "paper",
+             "local_expansion": "off", "time_budget": 5.0, "allow_extreme": False},
+            {"name": "lo-ransac", "budget": {"match": "wi"}, "refinement_depth": 1},
+        ],
+        **base,
+    )
+
+
+def test_influence_sweep_takes_one_seed_per_trial(monkeypatch):
+    cfg = dict(
+        dataset={"source": "generated", "n": 10, "dim": 2, "outlier_fraction": 0.3, "seed": 3},
+        epsilon=0.1,
+        kind="influence_sweep",
+        q_values=[0.3],
+        h_values=[100],
+        trials=3,
+        fresh_data_per_repetition=True,
+    )
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig(seeds=[7], **cfg)
+    built = []
+
+    def recording_build(dspec, seed_override=None):
+        built.append(seed_override)
+        return build_dataset(dspec, seed_override)
+
+    monkeypatch.setattr(experiment, "build_dataset", recording_build)
+    rows = run_experiment(ExperimentConfig(seeds=[7, 8, 7], **cfg)).rows
+    assert [r["trial"] for r in rows] == [0, 1, 2]
+    # trial 2 reuses seed 7, so its dataset comes from the cache
+    assert built == [7, 8]

@@ -131,15 +131,15 @@ def test_wi_removes_one_index_per_iteration():
     assert res.iterations <= data.dataset.n - data.dataset.p
 
 
-def test_wi_per_iteration_expansion_matches_post_loop():
+def test_per_iteration_expansion_is_refused():
+    # a pass while the survivors are still infeasible can add nothing
+    # (monotonicity), so only the post-loop pass is offered
     data = line_instance(seed=13)
-    a = wi_maxcon(data.dataset, SolverConfig(epsilon=0.1, q=0.3, samples=150, seed=4))
-    b = wi_maxcon(
-        data.dataset,
-        SolverConfig(epsilon=0.1, q=0.3, samples=150, seed=4, local_expansion="per_iteration"),
-    )
-    assert a.inlier_set == b.inlier_set
-    assert b.oracle_evaluations >= a.oracle_evaluations
+    cfg = SolverConfig(epsilon=0.1, q=0.3, samples=150, seed=4, local_expansion="per_iteration")
+    with pytest.raises(ValueError, match="unknown local_expansion"):
+        wi_maxcon(data.dataset, cfg)
+    with pytest.raises(ValueError, match="unknown local_expansion"):
+        solve(data.dataset, "mbf", 0.1, 4, local_expansion="per_iteration")
 
 
 def test_wi_time_budget_exhaustion_flag():
@@ -286,6 +286,15 @@ def test_ransac_time_budget():
     assert res.iterations < 10**5
 
 
+def test_ransac_runs_explicit_iterations_beyond_max_iterations():
+    data = gen_hyperplane_data(GenSpec(n=30, dim=2, outlier_fraction=0.3, seed=3))
+    res = ransac(data.dataset, 0.1, RansacBudget(iterations=500, max_iterations=200), 0)
+    assert res.iterations == res.oracle_evaluations == 500
+    # the cap still bounds a confidence budget, which has no count of its own
+    res = ransac(data.dataset, 0.1, RansacBudget(confidence=0.99999, max_iterations=5), 0)
+    assert res.iterations == 5
+
+
 @pytest.mark.parametrize(
     "bad",
     [{"iterations": -5}, {"confidence": 0.99, "max_iterations": 0}, {"time": 0.0}, {"time": -1.0}],
@@ -305,7 +314,7 @@ def reference_ransac(dataset, epsilon, budget, seed, refinement_depth):
     feats, resp = dataset.features, dataset.responses
     best_count, best_theta = 0, None
     it = skipped = evals = 0
-    target = min(b.iterations if b.iterations is not None else b.max_iterations, b.max_iterations)
+    target = b.iterations if b.iterations is not None else b.max_iterations
     adaptive = math.inf if b.confidence is not None else None
     while it < target and (adaptive is None or it < adaptive):
         pick = gen.choice(n, size=p, replace=False)
