@@ -31,7 +31,7 @@ from .models import (
     exact_maxcon_enumerate,
     load_dataset_csv,
 )
-from .solvers import SolveResult, solve
+from .solvers import METHODS, SolveResult, solve
 
 _GEN_KEYS = (
     "n",
@@ -58,8 +58,10 @@ _SPEC_KEYS = {"name", "budget", "refinement_depth", *_SPEC_OPTIONS}
 class ExperimentConfig:
     """Declarative description of one experiment batch.
 
-    ``seeds`` has one seed per repetition (per trial in an influence sweep).
-    A method-spec key outside ``_SPEC_KEYS`` is refused before the batch runs.
+    ``seeds`` has one seed per repetition (per trial in an influence sweep,
+    which reads them only with fresh generated data).  A method spec whose
+    name is not in ``solvers.METHODS``, or with a key outside ``_SPEC_KEYS``,
+    is refused before the batch runs.
     """
 
     dataset: dict
@@ -89,9 +91,20 @@ class ExperimentConfig:
         if self.kind == "solver_comparison" and not self.methods:
             raise ValueError("solver_comparison needs a methods list")
         for spec in self.methods:
+            if spec.get("name") not in METHODS:
+                raise ValueError(
+                    f"unknown method {spec.get('name')!r} in {spec!r}; "
+                    f"expected one of {', '.join(METHODS)}"
+                )
             unknown = sorted(set(spec) - _SPEC_KEYS)
             if unknown:
                 raise ValueError(f"unknown method-spec keys {unknown} in {spec!r}")
+        fresh = self.fresh_data_per_repetition and self.dataset.get("source") == "generated"
+        if self.kind == "influence_sweep" and self.seeds is not None and not fresh:
+            raise ValueError(
+                "an influence sweep reads seeds only with fresh_data_per_repetition "
+                "on generated data"
+            )
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":

@@ -394,6 +394,12 @@ def _chebyshev_combos(
 # --------------------------------------------------------------------------
 
 
+def _words(flags: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 flags as 64-bit words: bit j of word w is flag 64 w + j."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return np.pad(packed, [(0, 0), (0, -packed.shape[1] % 8)]).view("<u8")
+
+
 class FeasibilityOracle:
     """Monotone Boolean infeasibility indicator over subsets of a dataset.
 
@@ -413,14 +419,23 @@ class FeasibilityOracle:
       parameter vector, or from the least-squares fit of the whole dataset
       while none is cached; that fit is no certificate and is never cached.
 
-    ``resolve`` answers many subsets at once: the queries that no cache layer
-    answers run one stacked exchange per chunk of at most ``EXCHANGE_BATCH``
-    (128) distinct queries, a bound on its memory, and each chunk sees the
-    certificates of the chunks before it but not its own.  Only queries whose
-    reference turns singular or stalls (duplicate rows, dependent features,
-    ties at epsilon) pay for a full-size LP each; on data in general position
-    none do.  Every answer is backed by the same exact criteria the LP would
-    apply.
+    ``resolve`` answers many subsets at once.  It decodes them to 0/1 rows
+    once and tests them with array operations: the trivial layer by row
+    sums, the memo by one lookup each, and then, a window of
+    ``EXCHANGE_BATCH`` queries at a time, the feasibility layer by one AND of
+    their 64-bit words with those of the points outside each cover (a query
+    with no point outside a cover is feasible) and the infeasibility layer by
+    one gather of the p+1 points of each core (a query holding all of them is
+    infeasible).  The queries that no cache layer answers run one
+    stacked exchange per chunk of at most ``EXCHANGE_BATCH`` (128) distinct
+    queries, a bound on its memory, and each chunk sees the certificates of
+    the chunks before it but not its own.  ``__call__`` is the counted query:
+    a memo lookup, and ``resolve`` of the one mask on a miss (a subset of at
+    most p points is never memoised and answers 0 at once).  Only queries
+    whose reference turns singular or stalls (duplicate rows, dependent
+    features, ties at epsilon) pay for a full-size LP each; on data in
+    general position none do.  Every answer is backed by the same exact
+    criteria the LP would apply.
     """
 
     def __init__(self, dataset: LinearDataset, epsilon: float) -> None:
@@ -428,23 +443,23 @@ class FeasibilityOracle:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.dataset = dataset
         self.epsilon = float(epsilon)
+        self.n, self.p = dataset.n, dataset.p
         self._memo: dict[int, int] = {}
         # (coverage, cover mask, theta), best first
         self._thetas: list[tuple[int, int, np.ndarray]] = []
         self._witnesses: deque[int] = deque(maxlen=WITNESS_CACHE_SIZE)
+        # the same caches as arrays for the batch tests: row t of _outside
+        # holds the points outside the cover of _thetas[t] as 64-bit words,
+        # and _cores holds the p+1 points of each core in a ring whose slot
+        # _ring is overwritten by the next core, as the deque drops its oldest
+        self._outside = _words(np.zeros((0, self.n), dtype=bool))
+        self._cores = np.zeros((WITNESS_CACHE_SIZE, self.p + 1), dtype=np.intp)
+        self._ring = 0
         self._evals = 0
         self._lp_solves = 0
         self._core_tests = 0
         # the exchange's start while no fit is cached
         self._lstsq = np.linalg.lstsq(dataset.features, dataset.responses, rcond=None)[0]
-
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def p(self) -> int:
-        return self.dataset.p
 
     @property
     def evaluations(self) -> int:
@@ -467,72 +482,95 @@ class FeasibilityOracle:
         self._core_tests = 0
 
     def __call__(self, subset) -> int:
-        mask = as_mask(subset, self.n)
+        mask = subset
+        if type(mask) is not int or mask < 0 or mask >> self.n:
+            mask = as_mask(subset, self.n)
         self._evals += 1
-        verdict = self._cached(mask)
-        return self.resolve((mask,))[0] if verdict is None else verdict
+        verdict = self._memo.get(mask)
+        if verdict is None:
+            # masks of at most p points are answered but never memoised
+            verdict = 0 if mask.bit_count() <= self.p else self.resolve((mask,))[0]
+        return verdict
 
     def resolve(self, subsets) -> list[int]:
         """Verdicts of many subsets, memoised but not counted as evaluations.
 
-        Each subset goes through the trivial, memo, theta and core layers in
-        turn; the rest are decided in chunks of at most ``EXCHANGE_BATCH``
-        distinct masks, each by one stacked exchange.  The verdicts are those
-        ``__call__`` returns, so a caller can resolve a batch ahead of the
-        calls it counts.
+        Each subset is answered by the first of the trivial, memo, theta and
+        core layers that can, or else sent to the exchange, which decides
+        the open masks in chunks of ``EXCHANGE_BATCH`` distinct masks in the
+        order they come.  A chunk is settled as soon as it is full, and the
+        masks after it are tested against the caches it updated.  The
+        verdicts are those ``__call__`` returns, so a caller can resolve a
+        batch ahead of the calls it counts.
         """
         n = self.n
-        out: list[int] = []
-        pending: dict[int, list[int]] = {}
-        for subset in subsets:
-            mask = as_mask(subset, n)
-            verdict = self._cached(mask)
-            if verdict is None:
-                pending.setdefault(mask, []).append(len(out))
-                verdict = -1  # filled in when its chunk is settled
-            out.append(verdict)
-            if len(pending) == EXCHANGE_BATCH:
-                self._settle(pending, out)
-                pending = {}
-        if pending:
-            self._settle(pending, out)
-        return out
+        masks = [s if type(s) is int else as_mask(s, n) for s in subsets]
+        if masks and (min(masks) < 0 or max(masks) >> n):
+            raise ValueError(f"mask out of range for n={n}")
+        # a repeat takes the verdict of its first occurrence, which the
+        # walk below reaches first, and changes no cache
+        uniq = list(dict.fromkeys(masks))
+        flags = masks_flags(uniq, n)
+        words = _words(flags)
+        known = np.array([self._memo.get(m, -1) for m in uniq], dtype=np.int64)
+        known[flags.sum(axis=1) <= self.p] = 0
+        undecided = np.flatnonzero(known < 0)
+        # the cache tests run a window of masks at a time, so that a settle,
+        # which changes the caches, discards at most one window of them
+        pos, chunk = 0, undecided[:0]
+        while pos < len(undecided):
+            window = undecided[pos : pos + EXCHANGE_BATCH]
+            answer = np.full(len(window), -1)
+            # gathers and word operations, not matrix products: a BLAS product
+            # this size runs threaded and stalls whenever another process
+            # holds a core
+            cores = self._cores[: len(self._witnesses)]
+            answer[flags[window][:, cores.T].all(axis=1).any(axis=1)] = 1
+            spill = np.zeros((len(window), len(self._outside)), dtype=np.uint64)
+            for j, column in enumerate(words[window].T):
+                spill |= column[:, None] & self._outside[:, j]
+            answer[(spill == 0).any(axis=1)] = 0
+            chunk = np.concatenate([chunk, window[answer < 0][: EXCHANGE_BATCH - len(chunk)]])
+            reach = len(window)
+            if len(chunk) == EXCHANGE_BATCH:
+                reach = np.searchsorted(window, chunk[-1]) + 1
+            # memoise only what the walk reaches: the settle can evict the
+            # certificates that answered the masks after the chunk
+            reached, answered = window[:reach], answer[:reach]
+            hit = answered >= 0
+            known[reached[hit]] = answered[hit]
+            self._memo.update(zip([uniq[i] for i in reached[hit]], answered[hit].tolist()))
+            pos += reach
+            if len(chunk) == EXCHANGE_BATCH or (pos == len(undecided) and len(chunk)):
+                known[chunk] = self._settle([uniq[i] for i in chunk], flags[chunk])
+                chunk = chunk[:0]
+        verdicts = dict(zip(uniq, known.tolist()))
+        return [verdicts[m] for m in masks]
 
-    def _cached(self, mask: int) -> int | None:
-        """The verdict of the trivial, memo, theta or core layer, if any."""
-        if mask.bit_count() <= self.p:
-            return 0
-        hit = self._memo.get(mask)
-        if hit is not None:
-            return hit
-        for _, cover, _ in self._thetas:
-            if mask & ~cover == 0:
-                self._memo[mask] = 0
-                return 0
-        for w in self._witnesses:
-            if w & mask == w:
-                self._memo[mask] = 1
-                return 1
-        return None
-
-    def _settle(self, pending: dict[int, list[int]], out: list[int]) -> None:
-        """Decide the pending masks by one stacked exchange and fill ``out``."""
-        masks = list(pending)
-        members = masks_flags(masks, self.n)
+    def _settle(self, masks: list[int], members: np.ndarray) -> list[int]:
+        """Decide distinct masks, flagged row by row in ``members``, by one
+        stacked exchange; memoise and return their verdicts."""
         feats, resp = self.dataset.features, self.dataset.responses
         self._core_tests += len(masks)
         start = self._thetas[0][2] if self._thetas else self._lstsq
         answers = _exchange(feats, resp, members, self.epsilon, start)
-        for mask, row, (verdict, evidence) in zip(masks, members, answers):
+        verdicts, cores = [], []
+        for row, (verdict, evidence) in zip(members, answers):
             if verdict == 1:
-                self._witnesses.appendleft(as_mask(evidence, self.n))
+                cores.append(evidence)
             elif verdict == 0:
                 self._consider_theta(evidence)
             else:
                 verdict = self._lp_verdict(np.flatnonzero(row))
-            self._memo[mask] = verdict
-            for pos in pending[mask]:
-                out[pos] = verdict
+            verdicts.append(verdict)
+        self._memo.update(zip(masks, verdicts))
+        if cores:
+            # at most EXCHANGE_BATCH = WITNESS_CACHE_SIZE cores, so distinct slots
+            slots = (self._ring + np.arange(len(cores))) % WITNESS_CACHE_SIZE
+            self._cores[slots] = cores
+            self._witnesses.extendleft(sum(1 << i for i in c) for c in self._cores[slots].tolist())
+            self._ring = (self._ring + len(cores)) % WITNESS_CACHE_SIZE
+        return verdicts
 
     def _lp_verdict(self, rows: np.ndarray) -> int:
         """Decide one query by a full-size LP, caching its fit but no core."""
@@ -553,9 +591,12 @@ class FeasibilityOracle:
         cov = int(inside.sum())
         if len(self._thetas) >= THETA_CACHE_SIZE and cov <= self._thetas[-1][0]:
             return
-        self._thetas.append((cov, flags_mask(inside), theta))
-        self._thetas.sort(key=lambda e: -e[0])
+        # after every fit of at least its coverage, as a stable sort puts it
+        at = sum(1 for c, _, _ in self._thetas if c >= cov)
+        self._thetas.insert(at, (cov, flags_mask(inside), theta))
+        self._outside = np.insert(self._outside, at, _words(~inside[None]), axis=0)
         del self._thetas[THETA_CACHE_SIZE :]
+        self._outside = self._outside[:THETA_CACHE_SIZE]
 
     def truth_table(self) -> np.ndarray:
         """Exact truth table over all 2**n subsets.

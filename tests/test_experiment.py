@@ -128,6 +128,14 @@ def test_unknown_method_spec_key_is_refused_before_running():
     )
 
 
+def test_unknown_method_name_is_refused_before_running():
+    base = dict(dataset={"source": "generated", "n": 10, "dim": 2, "seed": 1}, epsilon=0.1)
+    # a misspelt name must not fail only after the methods before it have run
+    for spec in ({"name": "lo_ransac"}, {"q": 0.3}):
+        with pytest.raises(ValueError, match="unknown method"):
+            ExperimentConfig(methods=[{"name": "wi"}, spec], **base)
+
+
 def test_influence_sweep_takes_one_seed_per_trial(monkeypatch):
     cfg = dict(
         dataset={"source": "generated", "n": 10, "dim": 2, "outlier_fraction": 0.3, "seed": 3},
@@ -151,3 +159,17 @@ def test_influence_sweep_takes_one_seed_per_trial(monkeypatch):
     assert [r["trial"] for r in rows] == [0, 1, 2]
     # trial 2 reuses seed 7, so its dataset comes from the cache
     assert built == [7, 8]
+
+
+def test_influence_sweep_refuses_seeds_it_would_ignore():
+    cfg = dict(
+        dataset={"source": "generated", "n": 10, "dim": 2, "outlier_fraction": 0.3, "seed": 3},
+        epsilon=0.1, kind="influence_sweep", trials=2, seeds=[7, 8],
+    )
+    # the estimator streams come from seed alone, and the dataset is fixed
+    with pytest.raises(ValueError, match="fresh_data_per_repetition"):
+        ExperimentConfig(**cfg)
+    with pytest.raises(ValueError, match="fresh_data_per_repetition"):
+        ExperimentConfig(**{**cfg, "dataset": {"source": "csv", "path": "d.csv"}},
+                         fresh_data_per_repetition=True)
+    ExperimentConfig(**cfg, fresh_data_per_repetition=True)

@@ -11,8 +11,11 @@ from maxcon.cube import (
     TabulatedFunction,
     as_mask,
     estimate_influence_bernoulli,
+    flags_mask,
+    flags_masks,
     mask_from_string,
     mask_rows,
+    masks_flags,
 )
 from maxcon.datagen import GenSpec, gen_hyperplane_data
 from maxcon.errors import BudgetError, ContractError
@@ -483,6 +486,76 @@ def test_oracle_determinism_across_call_and_resolve():
     assert batched.evaluations == 0
     assert [batched(m) for m in masks] == want
     assert batched.evaluations == len(masks)
+
+
+def sequential_resolve(oracle, masks):
+    """``resolve`` one mask at a time: the trivial, memo, theta-cover and core
+    layers, then the exchange for each 128 distinct masks no layer answers."""
+    out, pending = [], {}
+
+    def settle():
+        chunk = list(pending)
+        for mask, verdict in zip(chunk, oracle._settle(chunk, masks_flags(chunk, oracle.n))):
+            for pos in pending[mask]:
+                out[pos] = verdict
+        pending.clear()
+
+    for mask in masks:
+        verdict = oracle._memo.get(mask)
+        if mask.bit_count() <= oracle.p:
+            verdict = 0
+        elif verdict is None:
+            if any(mask & ~cover == 0 for _, cover, _ in oracle._thetas):
+                verdict = oracle._memo[mask] = 0
+            elif any(core & mask == core for core in oracle._witnesses):
+                verdict = oracle._memo[mask] = 1
+            else:
+                pending.setdefault(mask, []).append(len(out))
+        out.append(verdict)
+        if len(pending) == models.EXCHANGE_BATCH:
+            settle()
+    if pending:
+        settle()
+    return out
+
+
+def test_resolve_matches_sequential_reference():
+    # enough certificates to overflow both caches, so that answers from
+    # evicted ones would show in the counts
+    data = gen_hyperplane_data(GenSpec(n=80, dim=8, outlier_count=20, seed=2))
+    inliers = np.isin(np.arange(80), data.inliers)
+    rng = np.random.default_rng(2)
+    oracle, ref = FeasibilityOracle(data.dataset, 0.05), FeasibilityOracle(data.dataset, 0.05)
+
+    def consider_theta(theta):
+        # append, stable sort by coverage, cut to size
+        inside = np.abs(data.dataset.features @ theta - data.dataset.responses) <= 0.05
+        coverage = int(inside.sum())
+        if len(ref._thetas) < models.THETA_CACHE_SIZE or coverage > ref._thetas[-1][0]:
+            ref._thetas.append((coverage, flags_mask(inside), theta))
+            ref._thetas.sort(key=lambda e: -e[0])
+            del ref._thetas[models.THETA_CACHE_SIZE :]
+
+    ref._consider_theta = consider_theta
+    thetas, cores = set(), set()
+    for _ in range(6):
+        flags = rng.random((800, 80)) < rng.uniform(0.05, 0.6, size=(800, 1))
+        flags &= inliers | (rng.random((800, 1)) < 0.5)
+        masks = flags_masks(flags)
+        masks += masks[:50]
+        assert oracle.resolve(masks) == sequential_resolve(ref, masks)
+        for mask in masks[::40]:
+            ref._evals += 1
+            assert oracle(mask) == sequential_resolve(ref, [mask])[0]
+        state = [
+            (o.core_tests, o.lp_solves, o.evaluations, o._memo, list(o._witnesses),
+             [(coverage, cover, list(theta)) for coverage, cover, theta in o._thetas])
+            for o in (oracle, ref)
+        ]
+        assert state[0] == state[1]
+        thetas |= {cover for _, cover, _ in oracle._thetas}
+        cores |= set(oracle._witnesses)
+    assert len(thetas) > models.THETA_CACHE_SIZE and len(cores) > models.WITNESS_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
