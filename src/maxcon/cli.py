@@ -116,17 +116,17 @@ def _cmd_influence(args) -> int:
         indices = list(range(dataset.n))
     else:
         indices = [int(t) for t in args.indices.split(",")]
-    f = oracle
-    if args.estimator == "exact" or args.tabulate:
-        f = cube.TabulatedFunction(oracle.truth_table(), dataset.n)
     if args.estimator == "exact":
+        f = cube.TabulatedFunction(oracle.truth_table(), dataset.n)
         report = cube.exact_influence_report(f, args.q, indices)
     elif args.estimator == "bernoulli":
         report = cube.estimate_influence_bernoulli(
-            f, indices, args.q, args.samples, args.seed, mode=args.mode
+            oracle, indices, args.q, args.samples, args.seed, mode=args.mode
         )
     else:
-        report = cube.estimate_influence_hamming(f, indices, args.level, args.samples, args.seed)
+        report = cube.estimate_influence_hamming(
+            oracle, indices, args.level, args.samples, args.seed
+        )
     _write_json(report.to_json_dict(), args.out)
     return 0
 
@@ -240,8 +240,6 @@ def build_parser() -> JsonArgumentParser:
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--mode", choices=["paper", "unbiased"], default="paper")
     i.add_argument("--indices", default="all")
-    i.add_argument("--tabulate", action="store_true",
-                   help="precompute the full truth table before estimating")
     i.add_argument("--out", default=None)
     i.set_defaults(func=_cmd_influence)
 

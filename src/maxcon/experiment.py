@@ -61,7 +61,8 @@ class ExperimentConfig:
     ``seeds`` has one seed per repetition (per trial in an influence sweep,
     which reads them only with fresh generated data).  A method spec whose
     name is not in ``solvers.METHODS``, or with a key outside ``_SPEC_KEYS``,
-    is refused before the batch runs.
+    an unknown ``ground_truth`` and an influence sweep of no trials are
+    refused before the batch runs.
     """
 
     dataset: dict
@@ -85,6 +86,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.kind == "influence_sweep" and self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if self.ground_truth not in ("none", "exact"):
+            raise ValueError(f"unknown ground_truth {self.ground_truth!r}; expected none or exact")
         per = "trials" if self.kind == "influence_sweep" else "repetitions"
         if self.seeds is not None and len(self.seeds) != getattr(self, per):
             raise ValueError(f"seeds list must match {per}")

@@ -75,16 +75,6 @@ def consensus_error(found, ground_truth_size: int) -> int:
     return err
 
 
-def summarize(values: Sequence[float]) -> dict:
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "mean": float(arr.mean()),
-        "variance": float(arr.var(ddof=1)) if arr.size > 1 else 0.0,
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-    }
-
-
 BATCH_REPORT_COLUMNS = ("run", "method", "consensus", "error", "runtime_ms", "sf_distance")
 
 

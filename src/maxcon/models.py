@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import cube
-from .cube import as_mask, flags_mask, masks_flags, upward_closure_table
+from .cube import as_mask, masks_flags, upward_closure_table
 from .errors import BudgetError, ContractError, SolverError
 
 # Relative tolerance for membership in the active set of a minimax fit.
@@ -409,10 +408,13 @@ class FeasibilityOracle:
     without a full LP:
 
     - feasibility: cached parameter vectors, kept ranked by how many points
-      of the whole dataset they cover, each with its cover mask of the points
-      within epsilon; a query inside a cover mask is feasible with that
-      vector as certificate;
-    - infeasibility: cached infeasible exchange references inside the query;
+      of the whole dataset they cover, each with a row of 64-bit words
+      flagging the points outside its cover (its residual above epsilon); a
+      query with no point outside a cover is feasible with that vector as
+      certificate;
+    - infeasibility: cached infeasible exchange references, an index array
+      of p+1 points per core; a query holding all the points of a core is
+      infeasible;
     - either: the certified exchange ascent, whose reference value rises
       strictly until it ends with an explicit infeasible core or an explicit
       within-epsilon parameter vector.  It starts from the best cached
@@ -421,21 +423,21 @@ class FeasibilityOracle:
 
     ``resolve`` answers many subsets at once.  It decodes them to 0/1 rows
     once and tests them with array operations: the trivial layer by row
-    sums, the memo by one lookup each, and then, a window of
-    ``EXCHANGE_BATCH`` queries at a time, the feasibility layer by one AND of
-    their 64-bit words with those of the points outside each cover (a query
-    with no point outside a cover is feasible) and the infeasibility layer by
-    one gather of the p+1 points of each core (a query holding all of them is
-    infeasible).  The queries that no cache layer answers run one
+    sums, the memo by one lookup each, and then, a window of queries at a
+    time, the feasibility layer by one AND of their 64-bit words with each
+    cover's outside words and the infeasibility layer by one gather of the
+    points of each core.  The queries that no cache layer answers run one
     stacked exchange per chunk of at most ``EXCHANGE_BATCH`` (128) distinct
     queries, a bound on its memory, and each chunk sees the certificates of
-    the chunks before it but not its own.  ``__call__`` is the counted query:
-    a memo lookup, and ``resolve`` of the one mask on a miss (a subset of at
-    most p points is never memoised and answers 0 at once).  Only queries
-    whose reference turns singular or stalls (duplicate rows, dependent
-    features, ties at epsilon) pay for a full-size LP each; on data in
-    general position none do.  Every answer is backed by the same exact
-    criteria the LP would apply.
+    the chunks before it but not its own.  A window holds no more queries
+    than the open chunk has room for, so a chunk settles only after a whole
+    window and every window is tested against the current caches.
+    ``__call__`` is the counted query: a memo lookup, and ``resolve`` of the
+    one mask on a miss (a subset of at most p points is never memoised and
+    answers 0 at once).  Only queries whose reference turns singular or
+    stalls (duplicate rows, dependent features, ties at epsilon) pay for a
+    full-size LP each; on data in general position none do.  Every answer is
+    backed by the same exact criteria the LP would apply.
     """
 
     def __init__(self, dataset: LinearDataset, epsilon: float) -> None:
@@ -445,16 +447,12 @@ class FeasibilityOracle:
         self.epsilon = float(epsilon)
         self.n, self.p = dataset.n, dataset.p
         self._memo: dict[int, int] = {}
-        # (coverage, cover mask, theta), best first
-        self._thetas: list[tuple[int, int, np.ndarray]] = []
-        self._witnesses: deque[int] = deque(maxlen=WITNESS_CACHE_SIZE)
-        # the same caches as arrays for the batch tests: row t of _outside
-        # holds the points outside the cover of _thetas[t] as 64-bit words,
-        # and _cores holds the p+1 points of each core in a ring whose slot
-        # _ring is overwritten by the next core, as the deque drops its oldest
+        # (coverage, theta), best first; row t of _outside holds the points
+        # outside the cover of _thetas[t] as 64-bit words
+        self._thetas: list[tuple[int, np.ndarray]] = []
         self._outside = _words(np.zeros((0, self.n), dtype=bool))
-        self._cores = np.zeros((WITNESS_CACHE_SIZE, self.p + 1), dtype=np.intp)
-        self._ring = 0
+        # the p+1 points of each cached core, newest first
+        self._cores = np.zeros((0, self.p + 1), dtype=np.intp)
         self._evals = 0
         self._lp_solves = 0
         self._core_tests = 0
@@ -515,32 +513,25 @@ class FeasibilityOracle:
         known = np.array([self._memo.get(m, -1) for m in uniq], dtype=np.int64)
         known[flags.sum(axis=1) <= self.p] = 0
         undecided = np.flatnonzero(known < 0)
-        # the cache tests run a window of masks at a time, so that a settle,
-        # which changes the caches, discards at most one window of them
+        # a window holds no more masks than the open chunk has room for, so
+        # the chunk fills, and the caches change, only after a whole window
         pos, chunk = 0, undecided[:0]
         while pos < len(undecided):
-            window = undecided[pos : pos + EXCHANGE_BATCH]
+            window = undecided[pos : pos + EXCHANGE_BATCH - len(chunk)]
             answer = np.full(len(window), -1)
             # gathers and word operations, not matrix products: a BLAS product
             # this size runs threaded and stalls whenever another process
             # holds a core
-            cores = self._cores[: len(self._witnesses)]
-            answer[flags[window][:, cores.T].all(axis=1).any(axis=1)] = 1
+            answer[flags[window][:, self._cores.T].all(axis=1).any(axis=1)] = 1
             spill = np.zeros((len(window), len(self._outside)), dtype=np.uint64)
             for j, column in enumerate(words[window].T):
                 spill |= column[:, None] & self._outside[:, j]
             answer[(spill == 0).any(axis=1)] = 0
-            chunk = np.concatenate([chunk, window[answer < 0][: EXCHANGE_BATCH - len(chunk)]])
-            reach = len(window)
-            if len(chunk) == EXCHANGE_BATCH:
-                reach = np.searchsorted(window, chunk[-1]) + 1
-            # memoise only what the walk reaches: the settle can evict the
-            # certificates that answered the masks after the chunk
-            reached, answered = window[:reach], answer[:reach]
-            hit = answered >= 0
-            known[reached[hit]] = answered[hit]
-            self._memo.update(zip([uniq[i] for i in reached[hit]], answered[hit].tolist()))
-            pos += reach
+            hit = answer >= 0
+            known[window[hit]] = answer[hit]
+            self._memo.update(zip([uniq[i] for i in window[hit]], answer[hit].tolist()))
+            chunk = np.concatenate([chunk, window[~hit]])
+            pos += len(window)
             if len(chunk) == EXCHANGE_BATCH or (pos == len(undecided) and len(chunk)):
                 known[chunk] = self._settle([uniq[i] for i in chunk], flags[chunk])
                 chunk = chunk[:0]
@@ -552,7 +543,7 @@ class FeasibilityOracle:
         stacked exchange; memoise and return their verdicts."""
         feats, resp = self.dataset.features, self.dataset.responses
         self._core_tests += len(masks)
-        start = self._thetas[0][2] if self._thetas else self._lstsq
+        start = self._thetas[0][1] if self._thetas else self._lstsq
         answers = _exchange(feats, resp, members, self.epsilon, start)
         verdicts, cores = [], []
         for row, (verdict, evidence) in zip(members, answers):
@@ -565,11 +556,7 @@ class FeasibilityOracle:
             verdicts.append(verdict)
         self._memo.update(zip(masks, verdicts))
         if cores:
-            # at most EXCHANGE_BATCH = WITNESS_CACHE_SIZE cores, so distinct slots
-            slots = (self._ring + np.arange(len(cores))) % WITNESS_CACHE_SIZE
-            self._cores[slots] = cores
-            self._witnesses.extendleft(sum(1 << i for i in c) for c in self._cores[slots].tolist())
-            self._ring = (self._ring + len(cores)) % WITNESS_CACHE_SIZE
+            self._cores = np.concatenate([cores[::-1], self._cores])[:WITNESS_CACHE_SIZE]
         return verdicts
 
     def _lp_verdict(self, rows: np.ndarray) -> int:
@@ -592,8 +579,8 @@ class FeasibilityOracle:
         if len(self._thetas) >= THETA_CACHE_SIZE and cov <= self._thetas[-1][0]:
             return
         # after every fit of at least its coverage, as a stable sort puts it
-        at = sum(1 for c, _, _ in self._thetas if c >= cov)
-        self._thetas.insert(at, (cov, flags_mask(inside), theta))
+        at = sum(1 for c, _ in self._thetas if c >= cov)
+        self._thetas.insert(at, (cov, theta))
         self._outside = np.insert(self._outside, at, _words(~inside[None]), axis=0)
         del self._thetas[THETA_CACHE_SIZE :]
         self._outside = self._outside[:THETA_CACHE_SIZE]

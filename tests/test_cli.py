@@ -130,6 +130,7 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
     for extra in (
         ["fit", "--method", "wi", "--local-expansion", "per_iteration"],
         ["influence", "--workers", "2"],
+        ["influence", "--tabulate"],
     ):
         code, out, err = run_cli(extra + ["--data", str(data), "--eps", "0.1"], capsys)
         assert code == 2

@@ -110,6 +110,15 @@ def test_config_validation():
         ExperimentConfig(
             dataset={}, epsilon=0.1, methods=[{"name": "wi"}], repetitions=2, seeds=[1]
         )
+    # a misspelt ground truth would run and silently drop the error columns
+    with pytest.raises(ValueError, match="unknown ground_truth"):
+        ExperimentConfig(dataset={}, epsilon=0.1, methods=[{"name": "wi"}], ground_truth="exakt")
+    # a sweep of no trials would write an empty sweep.csv
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            ExperimentConfig(dataset={}, epsilon=0.1, kind="influence_sweep", trials=trials)
+    ExperimentConfig(dataset={}, epsilon=0.1, methods=[{"name": "wi"}], ground_truth="exact")
+    ExperimentConfig(dataset={}, epsilon=0.1, kind="influence_sweep", trials=1)
 
 
 def test_unknown_method_spec_key_is_refused_before_running():

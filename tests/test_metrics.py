@@ -9,7 +9,6 @@ from maxcon.metrics import (
     Ranking,
     consensus_error,
     sf_distance,
-    summarize,
     top_k_ranking,
     write_batch_report,
 )
@@ -80,13 +79,6 @@ def test_consensus_error():
     assert consensus_error(10, 11) == 1
     with pytest.raises(ValueError):
         consensus_error(12, 11)
-
-
-def test_summarize_batch():
-    stats = summarize([1.0, 2.0, 3.0, 2.0])
-    assert stats["mean"] == pytest.approx(2.0)
-    assert stats["min"] == 1.0 and stats["max"] == 3.0
-    assert stats["variance"] == pytest.approx(2 / 3)
 
 
 def test_write_batch_report(tmp_path):

@@ -11,7 +11,6 @@ from maxcon.cube import (
     TabulatedFunction,
     as_mask,
     estimate_influence_bernoulli,
-    flags_mask,
     flags_masks,
     mask_from_string,
     mask_rows,
@@ -248,14 +247,20 @@ def test_resolve_matches_lp_and_caches_checked_certificates(seed, p, duplicates,
         if abs(value - eps) > 1e-9:
             assert verdict == int(value > eps)
         assert oracle(rows) == verdict
-    for witness in oracle._witnesses:
-        assert witness.bit_count() == p + 1
-        value, _, _ = _chebyshev_lp(*ds.rows(mask_rows(witness, ds.n)))
+    for core in oracle._cores:
+        assert len(set(core.tolist())) == p + 1
+        assert 0 <= core.min() and core.max() < ds.n
+        value, _, _ = _chebyshev_lp(*ds.rows(core))
         assert value > eps
-    for coverage, cover, theta in oracle._thetas:
+    assert len(oracle._thetas) == len(oracle._outside)
+    for (coverage, theta), outside, cover in zip(
+        oracle._thetas, oracle._outside, cached_covers(oracle)
+    ):
+        inside = np.abs(ds.features @ theta - ds.responses) <= eps
+        assert np.array_equal(outside, models._words(~inside[None])[0])
+        assert coverage == inside.sum() == cover.bit_count()
         A, y = ds.rows(mask_rows(cover, ds.n))
         assert np.abs(A @ theta - y).max() <= eps
-        assert coverage == cover.bit_count()
 
 
 def sign_pattern_combos(A, y, combos):
@@ -420,8 +425,8 @@ def test_oracle_all_masks_match_truth_table_and_cover_masks():
     masks = np.random.default_rng(3).permutation(1 << 12)
     got = np.array([oracle(int(m)) for m in masks], dtype=np.uint8)
     assert np.array_equal(got, oracle.truth_table()[masks])
-    assert oracle._thetas
-    for coverage, cover, theta in oracle._thetas:
+    assert oracle._thetas and len(oracle._thetas) == len(oracle._outside)
+    for (coverage, theta), cover in zip(oracle._thetas, cached_covers(oracle)):
         within = np.flatnonzero(np.abs(ds.features @ theta - ds.responses) <= 0.1)
         assert cover == as_mask(within, 12)
         assert coverage == cover.bit_count()
@@ -488,26 +493,46 @@ def test_oracle_determinism_across_call_and_resolve():
     assert batched.evaluations == len(masks)
 
 
+def cached_covers(oracle):
+    """The covers of the oracle's cached fits as masks, best fit first."""
+    full = (1 << oracle.n) - 1
+    return [full & ~int.from_bytes(row.tobytes(), "little") for row in oracle._outside]
+
+
+def cached_cores(oracle):
+    """The oracle's cached cores as masks, newest first."""
+    return [sum(1 << i for i in core) for core in oracle._cores.tolist()]
+
+
+def oracle_state(o):
+    """Counters, memo and both certificate caches of an oracle, as a copy."""
+    return (o.core_tests, o.lp_solves, o.evaluations, dict(o._memo), o._cores.tolist(),
+            o._outside.tolist(), [(coverage, list(theta)) for coverage, theta in o._thetas])
+
+
 def sequential_resolve(oracle, masks):
     """``resolve`` one mask at a time: the trivial, memo, theta-cover and core
     layers, then the exchange for each 128 distinct masks no layer answers."""
     out, pending = [], {}
+    covers, cores = cached_covers(oracle), cached_cores(oracle)
 
     def settle():
+        nonlocal covers, cores
         chunk = list(pending)
         for mask, verdict in zip(chunk, oracle._settle(chunk, masks_flags(chunk, oracle.n))):
             for pos in pending[mask]:
                 out[pos] = verdict
         pending.clear()
+        covers, cores = cached_covers(oracle), cached_cores(oracle)
 
     for mask in masks:
         verdict = oracle._memo.get(mask)
         if mask.bit_count() <= oracle.p:
             verdict = 0
         elif verdict is None:
-            if any(mask & ~cover == 0 for _, cover, _ in oracle._thetas):
+            if any(mask & ~cover == 0 for cover in covers):
                 verdict = oracle._memo[mask] = 0
-            elif any(core & mask == core for core in oracle._witnesses):
+            elif any(core & mask == core for core in cores):
                 verdict = oracle._memo[mask] = 1
             else:
                 pending.setdefault(mask, []).append(len(out))
@@ -527,14 +552,17 @@ def test_resolve_matches_sequential_reference():
     rng = np.random.default_rng(2)
     oracle, ref = FeasibilityOracle(data.dataset, 0.05), FeasibilityOracle(data.dataset, 0.05)
 
+    def inside(theta):
+        return np.abs(data.dataset.features @ theta - data.dataset.responses) <= 0.05
+
     def consider_theta(theta):
-        # append, stable sort by coverage, cut to size
-        inside = np.abs(data.dataset.features @ theta - data.dataset.responses) <= 0.05
-        coverage = int(inside.sum())
+        # append, stable sort by coverage, cut to size, rebuild the words
+        coverage = int(inside(theta).sum())
         if len(ref._thetas) < models.THETA_CACHE_SIZE or coverage > ref._thetas[-1][0]:
-            ref._thetas.append((coverage, flags_mask(inside), theta))
+            ref._thetas.append((coverage, theta))
             ref._thetas.sort(key=lambda e: -e[0])
             del ref._thetas[models.THETA_CACHE_SIZE :]
+            ref._outside = models._words(np.array([~inside(th) for _, th in ref._thetas]))
 
     ref._consider_theta = consider_theta
     thetas, cores = set(), set()
@@ -547,15 +575,29 @@ def test_resolve_matches_sequential_reference():
         for mask in masks[::40]:
             ref._evals += 1
             assert oracle(mask) == sequential_resolve(ref, [mask])[0]
-        state = [
-            (o.core_tests, o.lp_solves, o.evaluations, o._memo, list(o._witnesses),
-             [(coverage, cover, list(theta)) for coverage, cover, theta in o._thetas])
-            for o in (oracle, ref)
-        ]
-        assert state[0] == state[1]
-        thetas |= {cover for _, cover, _ in oracle._thetas}
-        cores |= set(oracle._witnesses)
+        assert oracle_state(oracle) == oracle_state(ref)
+        thetas |= set(cached_covers(oracle))
+        cores |= set(cached_cores(oracle))
     assert len(thetas) > models.THETA_CACHE_SIZE and len(cores) > models.WITNESS_CACHE_SIZE
+
+
+def test_resolve_of_no_masks_or_only_trivial_masks_changes_nothing():
+    data = gen_hyperplane_data(GenSpec(n=30, dim=3, outlier_count=6, seed=4))
+    rng = np.random.default_rng(4)
+    trivial = [0] + [
+        as_mask(rng.choice(30, k, replace=False), 30) for k in rng.integers(1, 4, size=200)
+    ]
+    for warm in (False, True):
+        oracle = FeasibilityOracle(data.dataset, 0.1)
+        if warm:
+            oracle.resolve(flags_masks(rng.random((300, 30)) < 0.5))
+            oracle(rng.choice(30, 12, replace=False))
+            assert oracle._thetas and len(oracle._cores)
+        before = oracle_state(oracle)
+        assert oracle.resolve([]) == []
+        assert oracle_state(oracle) == before
+        assert oracle.resolve(trivial) == [0] * len(trivial)
+        assert oracle_state(oracle) == before
 
 
 # ---------------------------------------------------------------------------
