@@ -61,8 +61,8 @@ class ExperimentConfig:
     ``seeds`` has one seed per repetition (per trial in an influence sweep,
     which reads them only with fresh generated data).  A method spec whose
     name is not in ``solvers.METHODS``, or with a key outside ``_SPEC_KEYS``,
-    an unknown ``ground_truth`` and an influence sweep of no trials are
-    refused before the batch runs.
+    an unknown ``ground_truth`` and an influence sweep of no trials, no q
+    values or no h values are refused before the batch runs.
     """
 
     dataset: dict
@@ -88,6 +88,9 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.kind == "influence_sweep" and self.trials < 1:
             raise ValueError("trials must be at least 1")
+        for grid in ("q_values", "h_values"):
+            if self.kind == "influence_sweep" and not getattr(self, grid):
+                raise ValueError(f"an influence sweep needs a nonempty {grid} list")
         if self.ground_truth not in ("none", "exact"):
             raise ValueError(f"unknown ground_truth {self.ground_truth!r}; expected none or exact")
         per = "trials" if self.kind == "influence_sweep" else "repetitions"

@@ -220,6 +220,60 @@ def _reference(
     return np.abs(nullvec) / scale[:, None], np.abs(corr) / scale, sigma, sol[:, :p], ok & solved
 
 
+def _ratio_test(
+    A: np.ndarray,
+    ref: np.ndarray,
+    a_ref: np.ndarray,
+    lam: np.ndarray,
+    sigma: np.ndarray,
+    w: np.ndarray,
+    sign_w: np.ndarray,
+) -> np.ndarray:
+    """Exchange row w[b] of A into reference b by the dual ratio test.
+
+    Brings w in and drops the reference member that keeps the multipliers
+    ``lam`` (of ``_reference``) nonnegative; the dual columns carry each
+    point's residual sign, -sigma for the reference and ``sign_w`` for w.
+    ``ref`` (B, p+1) is updated in place and kept sorted.  Returns whether
+    each exchange was sound: its solve nonsingular, some multiplier of the
+    entering column positive, and w not already in the reference (which
+    means an inaccurate levelled fit; exchanging it in would repeat a row).
+    """
+    B, k = ref.shape
+    p = k - 1
+    basis = np.ones((B, k, k))
+    basis[:, :p, :] = -sigma[:, None, :] * np.swapaxes(a_ref, 1, 2)
+    enter = np.ones((B, k))
+    enter[:, :p] = sign_w[:, None] * A[w]
+    mu, ok = _stacked_solve(basis, enter)
+    positive = mu > 1e-12
+    ok &= positive.any(axis=1) & (ref != w[:, None]).all(axis=1)
+    ratios = np.where(positive, lam / np.where(positive, mu, 1.0), np.inf)
+    ref[np.arange(B), np.argmin(ratios, axis=1)] = w
+    ref.sort(axis=1)
+    return ok
+
+
+def _levelled_bounds(
+    a: np.ndarray, y: np.ndarray, theta: np.ndarray, h: np.ndarray, y_ref: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed residuals of levelled fits, and whether each fit is optimal.
+
+    For stacked rows (a (B, m, p), y (B, m)) that hold a reference of value
+    h and responses y_ref, with the reference's levelled fit theta (B, p),
+    h is a lower bound on the rows' minimax value and the largest residual
+    plus its rounding bound an upper bound (de la Vallee Poussin).  A fit is
+    optimal when the two bounds are within the tie margin
+    TIE_RTOL * (h + max |y_ref|).
+    """
+    resid = np.einsum("smp,sp->sm", a, theta) - y
+    achieved = np.abs(resid).max(axis=1)
+    rounding = (a.shape[2] + 2) * _UNIT_ROUNDOFF
+    slack = rounding * (np.einsum("smp,sp->sm", np.abs(a), np.abs(theta)) + np.abs(y))
+    gap = np.abs(achieved - h) + slack.max(axis=1)
+    return resid, gap <= TIE_RTOL * (h + np.abs(y_ref).max(axis=1))
+
+
 def _exchange(
     A: np.ndarray, y: np.ndarray, members: np.ndarray, eps: float, theta0: np.ndarray
 ) -> list[tuple[int | None, np.ndarray | None]]:
@@ -288,32 +342,29 @@ def _exchange(
             for j, sure in zip(np.flatnonzero(fits), certain):
                 if sure:
                     out[ids[j]] = (0, theta[j])
-        # dual ratio test: bring w in, drop the reference member that keeps
-        # the multipliers nonnegative; the columns carry each point's
-        # residual sign, -sigma for the reference
         go = ~fits
         if not go.any():
             break
         ids, ref, a_ref, h, lam, sigma = ids[go], ref[go], a_ref[go], h[go], lam[go], sigma[go]
-        sign_w, w = np.sign(resid[rows, w])[go], w[go]
-        basis = np.ones((len(ids), k, k))
-        basis[:, :p, :] = -sigma[:, None, :] * np.swapaxes(a_ref, 1, 2)
-        enter = np.ones((len(ids), k))
-        enter[:, :p] = sign_w[:, None] * A[w]
-        mu, ok = _stacked_solve(basis, enter)
-        positive = mu > 1e-12
-        # a worst point already in the reference means an inaccurate levelled
-        # fit; exchanging it in would repeat a row
-        ok &= positive.any(axis=1) & (ref != w[:, None]).all(axis=1)
-        ratios = np.where(positive, lam / np.where(positive, mu, 1.0), np.inf)
-        ref[np.arange(len(ids)), np.argmin(ratios, axis=1)] = w
-        ref.sort(axis=1)
+        ok = _ratio_test(A, ref, a_ref, lam, sigma, w[go], np.sign(resid[rows, w])[go])
         ids, ref, h_prev = ids[ok], ref[ok], h[ok]
     return out
 
 
 def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> MinimaxFit:
     """Chebyshev fit over a subset of points (all points by default).
+
+    The fit is the exchange's reference ascent run to the optimum.  It
+    starts from the p+1 largest residuals of the subset's least-squares fit
+    and brings the worst point of each levelled fit into the reference by
+    the dual ratio test, until that point's residual is within the tie
+    margin of the reference's h (``_levelled_bounds``): h is a lower bound
+    on the subset's value and the worst residual an upper bound, so the fit
+    is then optimal within that margin.  The LP fits the subset instead
+    when it has at most p points, or when the ascent stalls: a solve turns
+    singular, h fails to rise strictly, the worst point is already in the
+    reference, or the bounds differ by more than the margin with no point
+    above the reference's level (rank-deficient features, ties).
 
     The reported value is the largest achieved residual of the optimal
     parameters, and the active set holds the subset members whose residual is
@@ -328,7 +379,32 @@ def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> 
     if idx[0] < 0 or idx[-1] >= dataset.n:
         raise IndexError("subset index out of range")
     A, y = dataset.rows(idx)
-    value, theta, resid = _chebyshev_lp(A, y)
+    m, p = A.shape
+    theta = None
+    if m > p:
+        start = np.abs(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y)
+        ref = np.sort(np.argpartition(start, m - p - 1)[m - p - 1 :])[None]
+        h_prev = -1.0
+        while True:
+            a_ref, y_ref = A[ref], y[ref]
+            lam, h, sigma, level, ok = _reference(a_ref, y_ref)
+            if not (ok[0] and h[0] > h_prev):
+                break
+            resid, optimal = _levelled_bounds(A[None], y[None], level, h, y_ref)
+            w = np.argmax(np.abs(resid), axis=1)
+            if optimal[0]:
+                theta = level[0]
+                break
+            if abs(resid[0, w[0]]) - h[0] <= TIE_RTOL * (h[0] + np.abs(y_ref).max()):
+                break
+            if not _ratio_test(A, ref, a_ref, lam, sigma, w, np.sign(resid[0, w]))[0]:
+                break
+            h_prev = h[0]
+    if theta is None:
+        value, theta, resid = _chebyshev_lp(A, y)
+    else:
+        resid = np.abs(resid[0])
+        value = float(resid.max())
     tau = ACTIVE_SET_RTOL * (1.0 + value)
     active = tuple(idx[j] for j in np.flatnonzero(resid >= value - tau))
     return MinimaxFit(theta=ModelParams(theta), value=value, active_set=active)
@@ -371,17 +447,13 @@ def _chebyshev_combos(
     p = combos.shape[1] - 1
     values = np.empty(len(combos))
     thetas = np.empty((len(combos), p))
-    rounding = (p + 2) * _UNIT_ROUNDOFF
     for lo in range(0, len(combos), COMBO_CHUNK):
         sel = combos[lo : lo + COMBO_CHUNK]
         a_ref, y_ref = A[sel], y[sel]
         _, h, _, theta, ok = _reference(a_ref, y_ref)
-        fitted = np.einsum("smp,sp->sm", a_ref, theta)
-        achieved = np.abs(fitted - y_ref).max(axis=1)
-        slack = rounding * (np.einsum("smp,sp->sm", np.abs(a_ref), np.abs(theta)) + np.abs(y_ref))
-        gap = np.abs(achieved - h) + slack.max(axis=1)
-        exact = ok & (gap <= TIE_RTOL * (h + np.abs(y_ref).max(axis=1)))
-        values[lo : lo + len(sel)] = achieved
+        resid, exact = _levelled_bounds(a_ref, y_ref, theta, h, y_ref)
+        exact &= ok
+        values[lo : lo + len(sel)] = np.abs(resid).max(axis=1)
         thetas[lo : lo + len(sel)] = theta
         for d in np.flatnonzero(~exact):
             values[lo + d], thetas[lo + d], _ = _chebyshev_lp(a_ref[d], y_ref[d])

@@ -117,6 +117,10 @@ def test_config_validation():
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             ExperimentConfig(dataset={}, epsilon=0.1, kind="influence_sweep", trials=trials)
+    # and so would a sweep over no q or no h values
+    for grid in ("q_values", "h_values"):
+        with pytest.raises(ValueError, match=f"nonempty {grid}"):
+            ExperimentConfig(dataset={}, epsilon=0.1, kind="influence_sweep", **{grid: []})
     ExperimentConfig(dataset={}, epsilon=0.1, methods=[{"name": "wi"}], ground_truth="exact")
     ExperimentConfig(dataset={}, epsilon=0.1, kind="influence_sweep", trials=1)
 

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,6 +137,48 @@ def test_minimax_optimality_against_probes():
         probes = rng.uniform(-3, 3, size=(10_000, 2))
         best = chebyshev_probe_value(feats[subset], resp[np.array(subset)], probes)
         assert fit.value <= best + 1e-9
+
+
+def lp_fit_counted(ds, rows):
+    """minimax_fit of rows, the number of LP fits it made, and the LP's own
+    value and active set by minimax_fit's rule."""
+    with mock.patch.object(models, "_chebyshev_lp", wraps=_chebyshev_lp) as lp:
+        fit = minimax_fit(ds, rows)
+    value, _, resid = _chebyshev_lp(*ds.rows(rows))
+    tau = models.ACTIVE_SET_RTOL * (1.0 + value)
+    active = tuple(int(rows[j]) for j in np.flatnonzero(resid >= value - tau))
+    return fit, lp.call_count, value, active
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 8]))
+@settings(max_examples=30, deadline=None)
+def test_minimax_fit_matches_lp_in_general_position(seed, p):
+    rng = np.random.default_rng(seed)
+    n = 5 * p + 10
+    spec = GenSpec(n=n, dim=p, outlier_count=n // 5, seed=int(rng.integers(2**31)))
+    ds = gen_hyperplane_data(spec).dataset
+    for _ in range(8):
+        rows = np.sort(rng.choice(n, int(rng.integers(p + 1, n + 1)), replace=False))
+        fit, _, value, active = lp_fit_counted(ds, rows)
+        A, y = ds.rows(rows)
+        assert abs(fit.value - value) <= models.TIE_RTOL * (value + np.abs(y).max())
+        assert np.abs(A @ fit.theta.theta - y).max() == pytest.approx(fit.value, rel=1e-12)
+        assert fit.active_set == active
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+@example(0, 2, False, True)  # rank-one features: every ascent falls back to the LP
+def test_minimax_fit_matches_lp_on_degenerate_data(seed, p, duplicates, collinear):
+    ds, _, rng = degenerate_dataset(seed, p, duplicates, collinear)
+    fallbacks = 0
+    for _ in range(15):
+        rows = np.sort(rng.choice(ds.n, int(rng.integers(p + 1, ds.n + 1)), replace=False))
+        fit, lp_calls, value, _ = lp_fit_counted(ds, rows)
+        fallbacks += lp_calls
+        assert fit.value == pytest.approx(value, abs=1e-9)
+    if collinear and p == 2:
+        assert fallbacks > 0
 
 
 def assert_exchange_certificate(A, y, eps, verdict, evidence):

@@ -1,10 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from maxcon import solvers
+from maxcon import models, solvers
 from maxcon.cli import main
 from maxcon.datagen import GenSpec, gen_hyperplane_data, gen_multistructure_data
 from maxcon.errors import ContractError
@@ -129,6 +130,18 @@ def test_wi_removes_one_index_per_iteration():
     )
     assert res.iterations == data.dataset.n - res.consensus_size
     assert res.iterations <= data.dataset.n - data.dataset.p
+
+
+@pytest.mark.parametrize("method", ["wi", "mbf"])
+def test_general_position_solve_makes_no_lp_fit(method, monkeypatch):
+    # the removal loop's fits run the exchange ascent to the optimum, and the
+    # oracle answers every query from its certificates or the exchange
+    data = gen_hyperplane_data(GenSpec(n=80, dim=8, seed=11, outlier_count=10))
+    lp = mock.Mock(wraps=models._chebyshev_lp)
+    monkeypatch.setattr(models, "_chebyshev_lp", lp)
+    res = solve(data.dataset, method, 0.1, 0)
+    assert res.iterations > 0
+    assert lp.call_count == 0
 
 
 def test_per_iteration_expansion_is_refused():
