@@ -117,8 +117,7 @@ def _cmd_influence(args) -> int:
     else:
         indices = [int(t) for t in args.indices.split(",")]
     if args.estimator == "exact":
-        f = cube.TabulatedFunction(oracle.truth_table(), dataset.n)
-        report = cube.exact_influence_report(f, args.q, indices)
+        report = cube.exact_influence_report(oracle, args.q, indices)
     elif args.estimator == "bernoulli":
         report = cube.estimate_influence_bernoulli(
             oracle, indices, args.q, args.samples, args.seed, mode=args.mode

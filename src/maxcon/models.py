@@ -254,51 +254,34 @@ def _ratio_test(
     return ok
 
 
-def _levelled_bounds(
-    a: np.ndarray, y: np.ndarray, theta: np.ndarray, h: np.ndarray, y_ref: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed residuals of levelled fits, and whether each fit is optimal.
-
-    For stacked rows (a (B, m, p), y (B, m)) that hold a reference of value
-    h and responses y_ref, with the reference's levelled fit theta (B, p),
-    h is a lower bound on the rows' minimax value and the largest residual
-    plus its rounding bound an upper bound (de la Vallee Poussin).  A fit is
-    optimal when the two bounds are within the tie margin
-    TIE_RTOL * (h + max |y_ref|).
-    """
-    resid = np.einsum("smp,sp->sm", a, theta) - y
-    achieved = np.abs(resid).max(axis=1)
-    rounding = (a.shape[2] + 2) * _UNIT_ROUNDOFF
-    slack = rounding * (np.einsum("smp,sp->sm", np.abs(a), np.abs(theta)) + np.abs(y))
-    gap = np.abs(achieved - h) + slack.max(axis=1)
-    return resid, gap <= TIE_RTOL * (h + np.abs(y_ref).max(axis=1))
-
-
 def _exchange(
-    A: np.ndarray, y: np.ndarray, members: np.ndarray, eps: float, theta0: np.ndarray
+    A: np.ndarray, y: np.ndarray, members: np.ndarray, eps: float | None, theta0: np.ndarray
 ) -> list[tuple[int | None, np.ndarray | None]]:
     """Certified feasibility of many row subsets of (A, y) by reference ascent.
 
     Row b of the boolean ``members`` (B, m), m being the number of rows of
     A, selects query b's rows, more than p of them.  Each query maintains a
     reference of p+1 of its rows, whose minimax value h and levelled fit
-    come from ``_reference``.  h is a lower bound for the whole query, so
-    h > eps (by a margin above rounding, see TIE_RTOL) certifies
-    infeasibility; a levelled solution whose residuals all fit within eps
-    certifies feasibility.  Otherwise the worst point enters the reference
-    by a dual ratio test and h ascends (Stiefel / de la Vallee Poussin
-    exchange).  The open queries' references form a (B, p+1, p) stack, so
-    each pivot round is one ``_reference`` call and one ratio-test solve.
-    The ratio test runs over the dual columns of the reference's actual
-    residual signs, -sigma_i a_i.
+    come from ``_reference``.  Each query is held to one bar, ``limit``: eps,
+    or with ``eps=None`` the reference's own h plus the tie margin
+    TIE_RTOL * (h + max |y_R|).  h is a lower bound for the whole query, so
+    h above the limit by that margin certifies infeasibility (never, with no
+    eps); a levelled solution whose residuals, each plus its rounding bound,
+    are within the limit certifies feasibility, and with no eps its
+    optimality.  Otherwise the worst point enters the reference by a dual
+    ratio test and h ascends (Stiefel / de la Vallee Poussin exchange).  The
+    open queries' references form a (B, p+1, p) stack, so each pivot round
+    is one ``_reference`` call and one ratio-test solve.  The ratio test runs
+    over the dual columns of the reference's actual residual signs,
+    -sigma_i a_i.
 
     The reference is kept sorted, so even the rounded h is a function of the
     reference set alone: a strictly rising h never revisits a reference, and
     the ascent ends without an iteration cap.  A query gets (None, None)
     instead of a guess when a solve turns singular, h fails to strictly
     increase or the worst point is already in the reference (a degenerate
-    reference), or when a fit within eps is not certain beyond the rounding
-    of its residuals, so every produced answer carries an explicit
+    reference), or when a fit within the limit is not certain beyond the
+    rounding of its residuals, so every produced answer carries an explicit
     certificate: (1, reference rows of A) or (0, theta).
     Every query starts from the reference of its p+1 largest residuals
     under the one start vector theta0.
@@ -317,15 +300,17 @@ def _exchange(
     while len(ids):
         a_ref = A[ref]
         y_ref = y[ref]
+        y_max = np.abs(y_ref).max(axis=1)
         lam, h, sigma, theta, ok = _reference(a_ref, y_ref)
-        infeasible = ok & (h > eps + TIE_RTOL * (eps + np.abs(y_ref).max(axis=1)))
+        limit = h + TIE_RTOL * (h + y_max) if eps is None else np.full_like(h, eps)
+        infeasible = ok & (h > limit + TIE_RTOL * (limit + y_max))
         for j in np.flatnonzero(infeasible):
             out[ids[j]] = (1, ref[j])
-        go = ok & ~infeasible & (h > h_prev) & (sigma != 0).all(axis=1)
+        go = ok & ~infeasible & (h > h_prev)
         if not go.any():
             break
-        ids, ref, a_ref, h, lam, sigma, theta = (
-            ids[go], ref[go], a_ref[go], h[go], lam[go], sigma[go], theta[go]
+        ids, ref, a_ref, h, lam, sigma, theta, limit = (
+            ids[go], ref[go], a_ref[go], h[go], lam[go], sigma[go], theta[go], limit[go]
         )
         # the residuals of all the query's rows under the levelled fit
         resid = theta @ A.T - y
@@ -333,12 +318,12 @@ def _exchange(
         size = np.where(inside, np.abs(resid), -1.0)
         rows = np.arange(len(ids))
         w = np.argmax(size, axis=1)
-        fits = size[rows, w] <= eps
+        fits = size[rows, w] <= limit
         if fits.any():
             # the residuals' rounding bound must fit too: a near-singular
             # reference yields a huge theta whose residuals are noise
             slack = np.abs(theta[fits]) @ slack_a + slack_y
-            certain = ((size[fits] + slack <= eps) | ~inside[fits]).all(axis=1)
+            certain = ((size[fits] + slack <= limit[fits, None]) | ~inside[fits]).all(axis=1)
             for j, sure in zip(np.flatnonzero(fits), certain):
                 if sure:
                     out[ids[j]] = (0, theta[j])
@@ -354,17 +339,12 @@ def _exchange(
 def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> MinimaxFit:
     """Chebyshev fit over a subset of points (all points by default).
 
-    The fit is the exchange's reference ascent run to the optimum.  It
-    starts from the p+1 largest residuals of the subset's least-squares fit
-    and brings the worst point of each levelled fit into the reference by
-    the dual ratio test, until that point's residual is within the tie
-    margin of the reference's h (``_levelled_bounds``): h is a lower bound
-    on the subset's value and the worst residual an upper bound, so the fit
-    is then optimal within that margin.  The LP fits the subset instead
-    when it has at most p points, or when the ascent stalls: a solve turns
-    singular, h fails to rise strictly, the worst point is already in the
-    reference, or the bounds differ by more than the margin with no point
-    above the reference's level (rank-deficient features, ties).
+    The fit is ``_exchange`` with no threshold, one query that starts from
+    the subset's least-squares fit and ends at its certified optimum: the
+    worst residual, plus its rounding bound, within the tie margin of the
+    reference's h, a lower bound on the subset's value.  The LP fits the
+    subset instead when it has at most p points, or when the ascent gives
+    up (rank-deficient features, ties).
 
     The reported value is the largest achieved residual of the optimal
     parameters, and the active set holds the subset members whose residual is
@@ -382,29 +362,12 @@ def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> 
     m, p = A.shape
     theta = None
     if m > p:
-        start = np.abs(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y)
-        ref = np.sort(np.argpartition(start, m - p - 1)[m - p - 1 :])[None]
-        h_prev = -1.0
-        while True:
-            a_ref, y_ref = A[ref], y[ref]
-            lam, h, sigma, level, ok = _reference(a_ref, y_ref)
-            if not (ok[0] and h[0] > h_prev):
-                break
-            resid, optimal = _levelled_bounds(A[None], y[None], level, h, y_ref)
-            w = np.argmax(np.abs(resid), axis=1)
-            if optimal[0]:
-                theta = level[0]
-                break
-            if abs(resid[0, w[0]]) - h[0] <= TIE_RTOL * (h[0] + np.abs(y_ref).max()):
-                break
-            if not _ratio_test(A, ref, a_ref, lam, sigma, w, np.sign(resid[0, w]))[0]:
-                break
-            h_prev = h[0]
+        start = np.linalg.lstsq(A, y, rcond=None)[0]
+        theta = _exchange(A, y, np.ones((1, m), bool), None, start)[0][1]
     if theta is None:
-        value, theta, resid = _chebyshev_lp(A, y)
-    else:
-        resid = np.abs(resid[0])
-        value = float(resid.max())
+        theta = _chebyshev_lp(A, y)[1]
+    resid = np.abs(A @ theta - y)
+    value = float(resid.max())
     tau = ACTIVE_SET_RTOL * (1.0 + value)
     active = tuple(idx[j] for j in np.flatnonzero(resid >= value - tau))
     return MinimaxFit(theta=ModelParams(theta), value=value, active_set=active)
@@ -437,23 +400,27 @@ def _chebyshev_combos(
     Each subset is one reference of ``_reference``, the exchange's kernel,
     and its value is the largest residual the levelled theta achieves, so
     the returned theta attains the returned value.  The kernel's h is a
-    lower bound on the subset's value and the achieved residual plus its
-    rounding bound an upper bound; a subset whose solves are singular, or
-    whose two bounds differ by more than the tie margin ``TIE_RTOL``
-    (rank-deficient features make the levelled solve ill-conditioned), is
-    fitted by the LP instead.  Subsets are processed ``COMBO_CHUNK`` at a
-    time, a bound on memory.
+    lower bound on the subset's value, and the fit is taken by the rule the
+    exchange applies with no threshold: every residual plus its rounding
+    bound within h plus the tie margin TIE_RTOL * (h + max |y|).  A subset
+    whose solves are singular, or whose fit misses that bar (rank-deficient
+    features make the levelled solve ill-conditioned), is fitted by the LP
+    instead.  Subsets are processed ``COMBO_CHUNK`` at a time, a bound on
+    memory.
     """
     p = combos.shape[1] - 1
+    rounding = (p + 2) * _UNIT_ROUNDOFF
     values = np.empty(len(combos))
     thetas = np.empty((len(combos), p))
     for lo in range(0, len(combos), COMBO_CHUNK):
         sel = combos[lo : lo + COMBO_CHUNK]
         a_ref, y_ref = A[sel], y[sel]
         _, h, _, theta, ok = _reference(a_ref, y_ref)
-        resid, exact = _levelled_bounds(a_ref, y_ref, theta, h, y_ref)
-        exact &= ok
-        values[lo : lo + len(sel)] = np.abs(resid).max(axis=1)
+        resid = np.abs(np.einsum("smp,sp->sm", a_ref, theta) - y_ref)
+        slack = rounding * (np.einsum("smp,sp->sm", np.abs(a_ref), np.abs(theta)) + np.abs(y_ref))
+        limit = h + TIE_RTOL * (h + np.abs(y_ref).max(axis=1))
+        exact = ok & ((resid + slack).max(axis=1) <= limit)
+        values[lo : lo + len(sel)] = resid.max(axis=1)
         thetas[lo : lo + len(sel)] = theta
         for d in np.flatnonzero(~exact):
             values[lo + d], thetas[lo + d], _ = _chebyshev_lp(a_ref[d], y_ref[d])

@@ -17,7 +17,7 @@ from maxcon.cube import (
     mask_rows,
     masks_flags,
 )
-from maxcon.datagen import GenSpec, gen_hyperplane_data
+from maxcon.datagen import GenSpec, gen_hyperplane_data, synthetic_h_instance
 from maxcon.errors import BudgetError, ContractError
 from maxcon.models import (
     FeasibilityOracle,
@@ -207,6 +207,81 @@ def test_exchange_agrees_with_lp_on_random_subsets():
             verdict, evidence = _exchange(A, y, np.ones((1, len(y)), bool), 0.25, start)[0]
             assert verdict == int(value > 0.25)
             assert_exchange_certificate(A, y, 0.25, verdict, evidence)
+
+
+def stacked_members(rng, n, p, count):
+    """count random subsets of more than p of n rows, as a (count, n) flag stack."""
+    members = np.zeros((count, n), dtype=bool)
+    for row in members:
+        row[rng.choice(n, int(rng.integers(p + 1, n + 1)), replace=False)] = True
+    return members
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 8]))
+@settings(max_examples=30, deadline=None)
+def test_exchange_without_eps_ends_stacked_queries_at_their_optimum(seed, p):
+    # minimax_fit sends one query at a time; stacked queries with no eps
+    # must each end at their own optimum too
+    rng = np.random.default_rng(seed)
+    n = 5 * p + 10
+    spec = GenSpec(n=n, dim=p, outlier_count=n // 5, seed=int(rng.integers(2**31)))
+    ds = gen_hyperplane_data(spec).dataset
+    A, y = ds.features, ds.responses
+    members = stacked_members(rng, n, p, 8)
+    start = np.linalg.lstsq(A, y, rcond=None)[0]
+    for row, (verdict, theta) in zip(members, _exchange(A, y, members, None, start)):
+        assert verdict == 0
+        value, _, _ = _chebyshev_lp(A[row], y[row])
+        worst = np.abs(A[row] @ theta - y[row]).max()
+        assert abs(worst - value) <= models.TIE_RTOL * (value + np.abs(y[row]).max())
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_exchange_without_eps_on_degenerate_data(seed, p, duplicates, collinear):
+    ds, _, rng = degenerate_dataset(seed, p, duplicates, collinear)
+    A, y = ds.features, ds.responses
+    members = stacked_members(rng, ds.n, p, 15)
+    start = np.linalg.lstsq(A, y, rcond=None)[0]
+    for row, (verdict, theta) in zip(members, _exchange(A, y, members, None, start)):
+        assert verdict != 1
+        if verdict == 0:
+            value, _, _ = _chebyshev_lp(A[row], y[row])
+            assert np.abs(A[row] @ theta - y[row]).max() == pytest.approx(value, abs=1e-9)
+
+
+def test_exchange_matches_lp_on_homography_subsets(monkeypatch):
+    # a homography row spans only 5 of the 8 columns, so some references
+    # have a zero multiplier; the ascent goes on through them
+    eps = 0.1
+    reference = models._reference
+    zero_multipliers = 0
+
+    def counting(a_ref, y_ref):
+        nonlocal zero_multipliers
+        lam, h, _, _, ok = out = reference(a_ref, y_ref)
+        tie = eps + models.TIE_RTOL * (eps + np.abs(y_ref).max(axis=1))
+        zero_multipliers += int((ok & (h <= tie) & (lam == 0).any(axis=1)).sum())
+        return out
+
+    monkeypatch.setattr(models, "_reference", counting)
+    for seed in range(3000, 3010):
+        ds = synthetic_h_instance(seed, eps=eps)
+        A, y = ds.features, ds.responses
+        members = stacked_members(np.random.default_rng(seed), ds.n, ds.p, 120)
+        start = np.linalg.lstsq(A, y, rcond=None)[0]
+        for row, (verdict, evidence) in zip(members, _exchange(A, y, members, eps, start)):
+            if verdict is None:
+                continue
+            rows = np.flatnonzero(row)
+            value, _, _ = _chebyshev_lp(A[rows], y[rows])
+            if abs(value - eps) > 1e-9:
+                assert verdict == int(value > eps)
+            if verdict == 1:
+                assert row[evidence].all()
+                evidence = np.searchsorted(rows, evidence)
+            assert_exchange_certificate(A[rows], y[rows], eps, verdict, evidence)
+    assert zero_multipliers > 0
 
 
 def test_exchange_keeps_the_lp_off_the_oracle_hot_path():

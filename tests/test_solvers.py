@@ -144,6 +144,24 @@ def test_general_position_solve_makes_no_lp_fit(method, monkeypatch):
     assert lp.call_count == 0
 
 
+@pytest.mark.parametrize("seed", [3, 8])
+def test_estimator_modes_remove_the_same_points_at_half(seed):
+    # at q = 1/2 with an even sample count a paper-mode score is the
+    # unbiased score times 2**-|support| exactly, so both rank alike
+    data = line_instance(seed=seed, n=20)
+    results = [
+        wi_maxcon(data.dataset, SolverConfig(
+            epsilon=0.1, q=0.5, samples=120, seed=seed, estimator_mode=mode, allow_extreme=True,
+        ))
+        for mode in ("paper", "unbiased")
+    ]
+    paper, unbiased = results
+    assert paper.iterations > 0
+    assert paper.inlier_set == unbiased.inlier_set
+    assert paper.iterations == unbiased.iterations
+    assert paper.oracle_evaluations == unbiased.oracle_evaluations
+
+
 def test_per_iteration_expansion_is_refused():
     # a pass while the survivors are still infeasible can add nothing
     # (monotonicity), so only the post-loop pass is offered
