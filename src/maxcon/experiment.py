@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics
 from .cube import TabulatedFunction, estimate_influence_bernoulli, exact_influence_report
-from .datagen import GenSpec, gen_hyperplane_data
+from .datagen import GenSpec, gen_hyperplane_data, synthetic_fm_instance, synthetic_h_instance
 from .errors import ContractError
 from .ingest import linearise_fundamental, linearise_homography, load_correspondences_csv
 from .models import (
@@ -33,17 +33,19 @@ from .models import (
 )
 from .solvers import METHODS, SolveResult, solve
 
-_GEN_KEYS = (
-    "n",
-    "dim",
-    "outlier_count",
-    "outlier_fraction",
-    "inlier_noise",
-    "outlier_noise",
-    "seed",
-    "ground_truth_theta",
-    "theta_range",
-)
+# the keys each dataset source reads besides "source"; a source that reads a
+# seed regenerates its data from each repetition's seed when asked to
+_SOURCE_KEYS = {
+    "generated": (
+        "n", "dim", "outlier_count", "outlier_fraction", "inlier_noise",
+        "outlier_noise", "seed", "ground_truth_theta", "theta_range",
+    ),
+    "csv": ("path",),
+    "correspondences": ("path", "model", "normalise"),
+    "two_view": ("model", "matches", "outliers", "seed"),
+}
+_LINEARISE = {"fundamental": linearise_fundamental, "homography": linearise_homography}
+_TWO_VIEW = {"fundamental": synthetic_fm_instance, "homography": synthetic_h_instance}
 
 # method-spec keys of a config and the SolverConfig fields they set
 _SPEC_OPTIONS = {
@@ -59,10 +61,11 @@ class ExperimentConfig:
     """Declarative description of one experiment batch.
 
     ``seeds`` has one seed per repetition (per trial in an influence sweep,
-    which reads them only with fresh generated data).  A method spec whose
-    name is not in ``solvers.METHODS``, or with a key outside ``_SPEC_KEYS``,
-    an unknown ``ground_truth`` and an influence sweep of no trials, no q
-    values or no h values are refused before the batch runs.
+    which reads them only with fresh data from a seeded source).  A dataset
+    key that its source does not read, a method spec whose name is not in
+    ``solvers.METHODS`` or with a key outside ``_SPEC_KEYS``, an unknown
+    ``ground_truth`` and an influence sweep of no trials, no q values or no
+    h values are refused before the batch runs.
     """
 
     dataset: dict
@@ -107,11 +110,16 @@ class ExperimentConfig:
             unknown = sorted(set(spec) - _SPEC_KEYS)
             if unknown:
                 raise ValueError(f"unknown method-spec keys {unknown} in {spec!r}")
-        fresh = self.fresh_data_per_repetition and self.dataset.get("source") == "generated"
+        source = self.dataset.get("source")
+        if source in _SOURCE_KEYS:
+            unread = sorted(set(self.dataset) - {"source", *_SOURCE_KEYS[source]})
+            if unread:
+                raise ValueError(f"source {source!r} reads no dataset keys {unread}")
+        fresh = self.fresh_data_per_repetition and _reads_seed(self.dataset)
         if self.kind == "influence_sweep" and self.seeds is not None and not fresh:
             raise ValueError(
                 "an influence sweep reads seeds only with fresh_data_per_repetition "
-                "on generated data"
+                "on generated or two_view data"
             )
 
     @classmethod
@@ -131,29 +139,41 @@ class ExperimentReport:
     paths: dict
 
 
-def build_dataset(dspec: dict, seed_override: int | None = None) -> LinearDataset:
-    """Materialise the dataset described by a config's dataset block."""
+def build_dataset(
+    dspec: dict, seed_override: int | None = None, epsilon: float | None = None
+) -> LinearDataset:
+    """Materialise the dataset described by a config's dataset block.
+
+    A ``two_view`` source plants its residuals at the scale ``epsilon``,
+    which an experiment sets to its own threshold.
+    """
     source = dspec.get("source")
+    if source not in _SOURCE_KEYS:
+        raise ValueError(f"unknown dataset source {source!r}")
+    kwargs = {k: dspec[k] for k in _SOURCE_KEYS[source] if k in dspec}
+    if seed_override is not None and _reads_seed(dspec):
+        kwargs["seed"] = seed_override
     if source == "generated":
-        kwargs = {k: dspec[k] for k in _GEN_KEYS if k in dspec}
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
         for key in ("outlier_noise", "theta_range", "ground_truth_theta"):
             if key in kwargs and kwargs[key] is not None:
                 kwargs[key] = tuple(kwargs[key])
         return gen_hyperplane_data(GenSpec(**kwargs)).dataset
     if source == "csv":
-        return load_dataset_csv(dspec["path"])
-    if source == "correspondences":
-        corr = load_correspondences_csv(dspec["path"])
-        model = dspec.get("model", "fundamental")
-        normalise = bool(dspec.get("normalise", False))
-        if model == "fundamental":
-            return linearise_fundamental(corr, normalise=normalise)
-        if model == "homography":
-            return linearise_homography(corr, normalise=normalise)
+        return load_dataset_csv(kwargs["path"])
+    model = kwargs.pop("model", "fundamental")
+    if model not in _LINEARISE:
         raise ValueError(f"unknown correspondence model {model!r}")
-    raise ValueError(f"unknown dataset source {source!r}")
+    if source == "correspondences":
+        corr = load_correspondences_csv(kwargs["path"])
+        return _LINEARISE[model](corr, normalise=bool(kwargs.get("normalise", False)))
+    if epsilon is None:
+        raise ValueError("a two_view dataset needs epsilon, the scale of its residuals")
+    return _TWO_VIEW[model](kwargs.pop("seed", 0), eps=epsilon, **kwargs)
+
+
+def _reads_seed(dspec: dict) -> bool:
+    """Whether the dataset block's source regenerates its data from a seed."""
+    return "seed" in _SOURCE_KEYS.get(dspec.get("source"), ())
 
 
 def _rep_seed(config: ExperimentConfig, rep: int) -> int:
@@ -189,7 +209,7 @@ def _run_method(
 def _one_repetition(config: ExperimentConfig, rep: int) -> list[dict]:
     rep_seed = _rep_seed(config, rep)
     data_seed = rep_seed if config.fresh_data_per_repetition else None
-    dataset = build_dataset(config.dataset, seed_override=data_seed)
+    dataset = build_dataset(config.dataset, data_seed, config.epsilon)
     truth_size = None
     if config.ground_truth == "exact":
         truth_size = len(exact_maxcon_bases(dataset, config.epsilon)[0])
@@ -272,11 +292,11 @@ def influence_sweep_rows(config: ExperimentConfig) -> list[dict]:
     rows = []
     exact_cache: dict = {}
     for trial in range(config.trials):
-        fresh = config.fresh_data_per_repetition and config.dataset.get("source") == "generated"
+        fresh = config.fresh_data_per_repetition and _reads_seed(config.dataset)
         data_seed = _rep_seed(config, trial) if fresh else None
         dataset, f, k = exact_cache.get(data_seed, (None, None, None))
         if f is None:
-            dataset = build_dataset(config.dataset, seed_override=data_seed)
+            dataset = build_dataset(config.dataset, data_seed, config.epsilon)
             oracle = FeasibilityOracle(dataset, config.epsilon)
             f = TabulatedFunction(oracle.truth_table(), dataset.n)
             optimum = exact_maxcon_enumerate(f)

@@ -34,14 +34,13 @@ def top_k_ranking(scores: Mapping[int, float], k: int) -> Ranking:
     return Ranking(tuple(order[:k]))
 
 
-def sf_distance(r_es, r_ex, k: int | None = None, domain: str = "union") -> float:
+def sf_distance(r_es, r_ex, k: int | None = None) -> float:
     """Normalised Spearman-Footrule displacement between two top-k rankings.
 
     Positions are 1-based and an element absent from a ranking takes position
-    k + 1.  With the default "union" domain the displacement is summed over
-    every element appearing in either ranking, so disjoint rankings score the
-    maximum of 1.0 and identical rankings score 0.0.  The "intersection"
-    variant sums over common elements only.
+    k + 1.  The displacement is summed over every element appearing in either
+    ranking, so disjoint rankings score the maximum of 1.0 and identical
+    rankings score 0.0.
     """
     a = r_es.order if isinstance(r_es, Ranking) else tuple(r_es)
     b = r_ex.order if isinstance(r_ex, Ranking) else tuple(r_ex)
@@ -51,16 +50,10 @@ def sf_distance(r_es, r_ex, k: int | None = None, domain: str = "union") -> floa
         k = len(a)
     elif k != len(a):
         raise ValueError(f"rankings must have length k={k}, got {len(a)}")
-    if domain not in ("union", "intersection"):
-        raise ValueError(f"unknown domain {domain!r}")
     pos_a = {z: i + 1 for i, z in enumerate(a)}
     pos_b = {z: i + 1 for i, z in enumerate(b)}
-    if domain == "union":
-        elements = set(a) | set(b)
-    else:
-        elements = set(a) & set(b)
     absent = k + 1
-    total = sum(abs(pos_a.get(z, absent) - pos_b.get(z, absent)) for z in elements)
+    total = sum(abs(pos_a.get(z, absent) - pos_b.get(z, absent)) for z in set(a) | set(b))
     return total / (k * (k + 1))
 
 
@@ -75,7 +68,7 @@ def consensus_error(found, ground_truth_size: int) -> int:
     return err
 
 
-BATCH_REPORT_COLUMNS = ("run", "method", "consensus", "error", "runtime_ms", "sf_distance")
+BATCH_REPORT_COLUMNS = ("run", "method", "consensus", "error", "runtime_ms")
 
 
 def write_batch_report(rows: Sequence[Mapping], path) -> None:

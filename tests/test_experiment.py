@@ -1,13 +1,19 @@
 import csv
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maxcon import experiment
-from maxcon.errors import ContractError
+from maxcon.cli import main
+from maxcon.datagen import synthetic_h_instance
+from maxcon.errors import BudgetError, ContractError
 from maxcon.experiment import ExperimentConfig, build_dataset, run_experiment
 from maxcon.models import save_dataset_csv
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def small_comparison_config(tmp_path=None):
@@ -35,6 +41,17 @@ def test_build_dataset_sources(tmp_path):
     np.testing.assert_allclose(loaded.features, gen.features)
     with pytest.raises(ValueError):
         build_dataset({"source": "nope"})
+    # the config's epsilon is the planted residual scale, and a repetition's
+    # seed replaces the block's as it does for generated data
+    two_view = {"source": "two_view", "model": "homography", "matches": 12, "outliers": 3,
+                "seed": 4}
+    for seed_override, seed in ((None, 4), (9, 9)):
+        got = build_dataset(two_view, seed_override, 0.05)
+        want = synthetic_h_instance(seed, 12, 3, 0.05)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.responses, want.responses)
+    with pytest.raises(ValueError, match="epsilon"):
+        build_dataset(two_view)
 
 
 def test_solver_comparison_rows_and_files(tmp_path):
@@ -163,9 +180,9 @@ def test_influence_sweep_takes_one_seed_per_trial(monkeypatch):
         ExperimentConfig(seeds=[7], **cfg)
     built = []
 
-    def recording_build(dspec, seed_override=None):
+    def recording_build(dspec, seed_override=None, epsilon=None):
         built.append(seed_override)
-        return build_dataset(dspec, seed_override)
+        return build_dataset(dspec, seed_override, epsilon)
 
     monkeypatch.setattr(experiment, "build_dataset", recording_build)
     rows = run_experiment(ExperimentConfig(seeds=[7, 8, 7], **cfg)).rows
@@ -186,3 +203,51 @@ def test_influence_sweep_refuses_seeds_it_would_ignore():
         ExperimentConfig(**{**cfg, "dataset": {"source": "csv", "path": "d.csv"}},
                          fresh_data_per_repetition=True)
     ExperimentConfig(**cfg, fresh_data_per_repetition=True)
+
+
+def test_dataset_keys_the_source_does_not_read_are_refused():
+    base = dict(epsilon=0.1, methods=[{"name": "wi"}])
+    # a misspelt inlier_noise would otherwise run at the default noise
+    for dataset in (
+        {"source": "generated", "n": 10, "dim": 2, "seed": 1, "inlier_nois": 0.5},
+        {"source": "two_view", "model": "fundamental", "matches": 20, "n": 20},
+        {"source": "csv", "path": "d.csv", "model": "homography"},
+    ):
+        with pytest.raises(ValueError, match="reads no dataset keys"):
+            ExperimentConfig(dataset=dataset, **base)
+    ExperimentConfig(dataset={"source": "two_view", "model": "homography", "matches": 20,
+                              "outliers": 4, "seed": 1}, **base)
+
+
+def test_exact_ground_truth_above_the_enumeration_cap_runs_no_solver(
+    monkeypatch, tmp_path, capsys
+):
+    cfg = dict(
+        dataset={"source": "generated", "n": 200, "dim": 8, "outlier_count": 10, "seed": 1},
+        epsilon=0.1, methods=[{"name": "wi"}], ground_truth="exact",
+    )
+    calls = []
+    monkeypatch.setattr(experiment, "solve", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(BudgetError):
+        run_experiment(ExperimentConfig(**cfg))
+    assert calls == []
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"]["type"] == "BudgetError"
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_checked_in_config_runs(path, tmp_path):
+    cfg = ExperimentConfig.load(path)
+    cfg = dataclasses.replace(
+        cfg, repetitions=1, trials=1, seeds=cfg.seeds and cfg.seeds[:1], output=str(tmp_path)
+    )
+    report = run_experiment(cfg)
+    if cfg.kind == "influence_sweep":
+        assert len(report.rows) == len(cfg.q_values) * len(cfg.h_values)
+    else:
+        assert len(report.rows) == len(cfg.methods)
+    assert report.paths
+    assert all(Path(p).is_file() for p in report.paths.values())

@@ -26,14 +26,6 @@ def test_sf_symmetry_and_validation():
         sf_distance([1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
         sf_distance([1, 2], [1, 2], k=3)
-    with pytest.raises(ValueError):
-        sf_distance([1, 2], [2, 1], domain="other")
-
-
-def test_sf_intersection_variant():
-    # the intersection-only sum scores disjoint rankings as zero
-    assert sf_distance([1, 2], [3, 4], domain="intersection") == 0.0
-    assert sf_distance([1, 2], [2, 1], domain="intersection") == pytest.approx(2 / 6)
 
 
 def test_sf_bound_exhaustive_small_k():
@@ -92,4 +84,4 @@ def test_write_batch_report(tmp_path):
         got = list(csv.DictReader(fh))
     assert got[0]["method"] == "wi"
     assert got[1]["consensus"] == "8"
-    assert set(got[0]) == {"run", "method", "consensus", "error", "runtime_ms", "sf_distance"}
+    assert set(got[0]) == {"run", "method", "consensus", "error", "runtime_ms"}
