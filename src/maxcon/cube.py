@@ -14,9 +14,9 @@ vertices faster together may expose a ``resolve(masks)`` method returning
 the value of each mask, which must equal what calling f on it returns; the
 sampled estimators pass it every drawn vertex, then every flip monotonicity
 leaves open, before they make their own calls of f.  The feasibility oracle
-answers such a batch from its caches with array tests a window of masks at
-a time, deciding the rest in exchange chunks as one query at a time would, so
-the calls of f that follow are memo lookups and count the evaluations.
+answers such a batch from its caches with array tests and decides the rest
+in one stacked exchange, so the calls of f that follow are memo lookups and
+count the evaluations.
 """
 
 from __future__ import annotations

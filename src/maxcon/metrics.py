@@ -40,10 +40,11 @@ def sf_distance(r_es, r_ex, k: int | None = None) -> float:
     Positions are 1-based and an element absent from a ranking takes position
     k + 1.  The displacement is summed over every element appearing in either
     ranking, so disjoint rankings score the maximum of 1.0 and identical
-    rankings score 0.0.
+    rankings score 0.0.  A raw sequence is checked as ``Ranking`` checks it:
+    empty or duplicated rankings raise ``ValueError``.
     """
-    a = r_es.order if isinstance(r_es, Ranking) else tuple(r_es)
-    b = r_ex.order if isinstance(r_ex, Ranking) else tuple(r_ex)
+    a = (r_es if isinstance(r_es, Ranking) else Ranking(tuple(r_es))).order
+    b = (r_ex if isinstance(r_ex, Ranking) else Ranking(tuple(r_ex))).order
     if len(a) != len(b):
         raise ValueError(f"rankings must have equal length, got {len(a)} and {len(b)}")
     if k is None:

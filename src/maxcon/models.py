@@ -44,8 +44,9 @@ DEFAULT_MAX_BASES = 200_000
 THETA_CACHE_SIZE = 24
 WITNESS_CACHE_SIZE = 128
 
-# Most oracle queries decided by one stacked exchange; bounds its memory.
-EXCHANGE_BATCH = 128
+# Most cells, queries x the widest query's rows, of one stacked exchange;
+# bounds its memory.
+EXCHANGE_CELLS = 1 << 18
 
 # Most (p+1)-subsets fitted, or candidate fits scored, at once; bounds memory.
 COMBO_CHUNK = 20_000
@@ -221,30 +222,26 @@ def _reference(
 
 
 def _ratio_test(
-    A: np.ndarray,
-    ref: np.ndarray,
-    a_ref: np.ndarray,
-    lam: np.ndarray,
-    sigma: np.ndarray,
-    w: np.ndarray,
-    sign_w: np.ndarray,
+    ref: np.ndarray, a_ref: np.ndarray, lam: np.ndarray, sigma: np.ndarray, w: np.ndarray,
+    a_in: np.ndarray,
 ) -> np.ndarray:
-    """Exchange row w[b] of A into reference b by the dual ratio test.
+    """Exchange row w[b] into reference b by the dual ratio test.
 
     Brings w in and drops the reference member that keeps the multipliers
     ``lam`` (of ``_reference``) nonnegative; the dual columns carry each
-    point's residual sign, -sigma for the reference and ``sign_w`` for w.
-    ``ref`` (B, p+1) is updated in place and kept sorted.  Returns whether
-    each exchange was sound: its solve nonsingular, some multiplier of the
-    entering column positive, and w not already in the reference (which
-    means an inaccurate levelled fit; exchanging it in would repeat a row).
+    point's residual sign, -sigma for the reference, and ``a_in`` (B, p) is
+    w's features times its residual sign.  ``ref`` (B, p+1) is updated in
+    place and kept sorted.  Returns whether each exchange was sound: its
+    solve nonsingular, some multiplier of the entering column positive, and
+    w not already in the reference (which means an inaccurate levelled fit;
+    exchanging it in would repeat a row).
     """
     B, k = ref.shape
     p = k - 1
     basis = np.ones((B, k, k))
     basis[:, :p, :] = -sigma[:, None, :] * np.swapaxes(a_ref, 1, 2)
     enter = np.ones((B, k))
-    enter[:, :p] = sign_w[:, None] * A[w]
+    enter[:, :p] = a_in
     mu, ok = _stacked_solve(basis, enter)
     positive = mu > 1e-12
     ok &= positive.any(axis=1) & (ref != w[:, None]).all(axis=1)
@@ -260,20 +257,24 @@ def _exchange(
     """Certified feasibility of many row subsets of (A, y) by reference ascent.
 
     Row b of the boolean ``members`` (B, m), m being the number of rows of
-    A, selects query b's rows, more than p of them.  Each query maintains a
-    reference of p+1 of its rows, whose minimax value h and levelled fit
-    come from ``_reference``.  Each query is held to one bar, ``limit``: eps,
-    or with ``eps=None`` the reference's own h plus the tie margin
-    TIE_RTOL * (h + max |y_R|).  h is a lower bound for the whole query, so
-    h above the limit by that margin certifies infeasibility (never, with no
-    eps); a levelled solution whose residuals, each plus its rounding bound,
-    are within the limit certifies feasibility, and with no eps its
-    optimality.  Otherwise the worst point enters the reference by a dual
-    ratio test and h ascends (Stiefel / de la Vallee Poussin exchange).  The
-    open queries' references form a (B, p+1, p) stack, so each pivot round
-    is one ``_reference`` call and one ratio-test solve.  The ratio test runs
-    over the dual columns of the reference's actual residual signs,
-    -sigma_i a_i.
+    A, selects query b's rows, more than p of them.  Each query's rows are
+    gathered once, ascending, into a (B, W) stack padded by zero rows, W
+    being the widest query's row count; a zero row's residual and rounding
+    bound are exactly zero, so every later step runs over the query's own
+    rows alone.  Each query maintains a reference of p+1 of its rows, whose
+    minimax value h and levelled fit come from ``_reference``.  Each query
+    is held to one bar, ``limit``: eps, or with ``eps=None`` the reference's
+    own h plus the tie margin TIE_RTOL * (h + max |y_R|).  h is a lower
+    bound for the whole query, so h above the limit by that margin certifies
+    infeasibility (never, with no eps); a levelled solution whose residuals,
+    each plus its rounding bound, are within the limit certifies
+    feasibility, and with no eps its optimality.  Otherwise the worst point
+    enters the reference by a dual ratio test and h ascends (Stiefel / de la
+    Vallee Poussin exchange).  The open queries' references form a
+    (B, p+1, p) stack, so each pivot round is one ``_reference`` call and
+    one ratio-test solve, and the open stack is compacted only when some
+    query closes.  The ratio test runs over the dual columns of the
+    reference's actual residual signs, -sigma_i a_i.
 
     The reference is kept sorted, so even the rounded h is a function of the
     reference set alone: a strictly rising h never revisits a reference, and
@@ -288,51 +289,52 @@ def _exchange(
     """
     B = len(members)
     p = A.shape[1]
-    k = p + 1
     out: list[tuple[int | None, np.ndarray | None]] = [(None, None)] * B
-    start = np.where(members, np.abs(A @ theta0 - y), -np.inf)
-    cut = A.shape[0] - k
+    count = members.sum(axis=1)
+    rows = np.zeros((B, count.max()), dtype=np.intp)
+    inside = np.arange(rows.shape[1]) < count[:, None]
+    rows[inside] = np.flatnonzero(members) % members.shape[1]
+    a_q, y_q = A[rows], y[rows]
+    a_q[~inside], y_q[~inside] = 0.0, 0.0
+    start = np.where(inside, np.abs(a_q @ theta0 - y_q), -np.inf)
+    cut = rows.shape[1] - p - 1
     ref = np.sort(np.argpartition(start, cut, axis=1)[:, cut:], axis=1)
     ids = np.arange(B)
     h_prev = np.full(B, -1.0)
-    rounding = (p + 2) * _UNIT_ROUNDOFF
-    slack_a, slack_y = rounding * np.abs(A).T, rounding * np.abs(y)
     while len(ids):
-        a_ref = A[ref]
-        y_ref = y[ref]
+        at = np.arange(len(ids))
+        a_ref, y_ref = a_q[at[:, None], ref], y_q[at[:, None], ref]
         y_max = np.abs(y_ref).max(axis=1)
         lam, h, sigma, theta, ok = _reference(a_ref, y_ref)
         limit = h + TIE_RTOL * (h + y_max) if eps is None else np.full_like(h, eps)
         infeasible = ok & (h > limit + TIE_RTOL * (limit + y_max))
-        for j in np.flatnonzero(infeasible):
-            out[ids[j]] = (1, ref[j])
-        go = ok & ~infeasible & (h > h_prev)
-        if not go.any():
-            break
-        ids, ref, a_ref, h, lam, sigma, theta, limit = (
-            ids[go], ref[go], a_ref[go], h[go], lam[go], sigma[go], theta[go], limit[go]
-        )
-        # the residuals of all the query's rows under the levelled fit
-        resid = theta @ A.T - y
-        inside = members[ids]
-        size = np.where(inside, np.abs(resid), -1.0)
-        rows = np.arange(len(ids))
+        for b, core in zip(ids[infeasible].tolist(), rows[ids[infeasible, None], ref[infeasible]]):
+            out[b] = (1, core)
+        rising = ok & ~infeasible & (h > h_prev)
+        resid = np.einsum("bwp,bp->bw", a_q, theta) - y_q
+        size = np.abs(resid)
         w = np.argmax(size, axis=1)
-        fits = size[rows, w] <= limit
+        fits = rising & (size[at, w] <= limit)
         if fits.any():
             # the residuals' rounding bound must fit too: a near-singular
             # reference yields a huge theta whose residuals are noise
-            slack = np.abs(theta[fits]) @ slack_a + slack_y
-            certain = ((size[fits] + slack <= limit[fits, None]) | ~inside[fits]).all(axis=1)
-            for j, sure in zip(np.flatnonzero(fits), certain):
-                if sure:
-                    out[ids[j]] = (0, theta[j])
-        go = ~fits
-        if not go.any():
+            f = np.flatnonzero(fits)
+            slack = np.einsum("bwp,bp->bw", np.abs(a_q[f]), np.abs(theta[f])) + np.abs(y_q[f])
+            certain = (size[f] + (p + 2) * _UNIT_ROUNDOFF * slack <= limit[f, None]).all(axis=1)
+            for b, fit in zip(ids[f[certain]].tolist(), theta[f[certain]]):
+                out[b] = (0, fit)
+        a_in = np.sign(resid[at, w])[:, None] * a_q[at, w]
+        go = rising & ~fits
+        if not go.all():
+            ids, a_q, y_q, ref, a_ref, lam, sigma, h, w, a_in = (
+                x[go] for x in (ids, a_q, y_q, ref, a_ref, lam, sigma, h, w, a_in)
+            )
+        if not len(ids):
             break
-        ids, ref, a_ref, h, lam, sigma = ids[go], ref[go], a_ref[go], h[go], lam[go], sigma[go]
-        ok = _ratio_test(A, ref, a_ref, lam, sigma, w[go], np.sign(resid[rows, w])[go])
-        ids, ref, h_prev = ids[ok], ref[ok], h[ok]
+        ok = _ratio_test(ref, a_ref, lam, sigma, w, a_in)
+        h_prev = h
+        if not ok.all():
+            ids, a_q, y_q, ref, h_prev = ids[ok], a_q[ok], y_q[ok], ref[ok], h_prev[ok]
     return out
 
 
@@ -435,7 +437,9 @@ def _chebyshev_combos(
 def _words(flags: np.ndarray) -> np.ndarray:
     """Rows of 0/1 flags as 64-bit words: bit j of word w is flag 64 w + j."""
     packed = np.packbits(flags, axis=1, bitorder="little")
-    return np.pad(packed, [(0, 0), (0, -packed.shape[1] % 8)]).view("<u8")
+    out = np.zeros((len(flags), -(-packed.shape[1] // 8)), dtype="<u8")
+    out.view(np.uint8)[:, : packed.shape[1]] = packed
+    return out
 
 
 class FeasibilityOracle:
@@ -461,16 +465,15 @@ class FeasibilityOracle:
       while none is cached; that fit is no certificate and is never cached.
 
     ``resolve`` answers many subsets at once.  It decodes them to 0/1 rows
-    once and tests them with array operations: the trivial layer by row
-    sums, the memo by one lookup each, and then, a window of queries at a
-    time, the feasibility layer by one AND of their 64-bit words with each
-    cover's outside words and the infeasibility layer by one gather of the
-    points of each core.  The queries that no cache layer answers run one
-    stacked exchange per chunk of at most ``EXCHANGE_BATCH`` (128) distinct
-    queries, a bound on its memory, and each chunk sees the certificates of
-    the chunks before it but not its own.  A window holds no more queries
-    than the open chunk has room for, so a chunk settles only after a whole
-    window and every window is tested against the current caches.
+    once and tests them all with array operations: the trivial layer by row
+    sums, the memo by one lookup each, the feasibility layer by one AND of
+    their 64-bit words with each cover's outside words and the
+    infeasibility layer by one gather of the points of each core.  The
+    queries that no cache layer answers run one stacked exchange, which
+    sees only the certificates cached before it.  Its memory is bounded by
+    ``EXCHANGE_CELLS``, queries times the widest query's points; past that
+    bound the leading misses that fit are settled first and the rest are
+    tested again against the updated caches.
     ``__call__`` is the counted query: a memo lookup, and ``resolve`` of the
     one mask on a miss (a subset of at most p points is never memoised and
     answers 0 at once).  Only queries whose reference turns singular or
@@ -532,11 +535,10 @@ class FeasibilityOracle:
     def resolve(self, subsets) -> list[int]:
         """Verdicts of many subsets, memoised but not counted as evaluations.
 
-        Each subset is answered by the first of the trivial, memo, theta and
-        core layers that can, or else sent to the exchange, which decides
-        the open masks in chunks of ``EXCHANGE_BATCH`` distinct masks in the
-        order they come.  A chunk is settled as soon as it is full, and the
-        masks after it are tested against the caches it updated.  The
+        Every distinct open subset is tested against the trivial, memo,
+        theta and core layers at once, and the misses go to one stacked
+        exchange; past ``EXCHANGE_CELLS`` the leading misses that fit do, and
+        the rest are tested again against the caches they updated.  The
         verdicts are those ``__call__`` returns, so a caller can resolve a
         batch ahead of the calls it counts.
         """
@@ -544,36 +546,34 @@ class FeasibilityOracle:
         masks = [s if type(s) is int else as_mask(s, n) for s in subsets]
         if masks and (min(masks) < 0 or max(masks) >> n):
             raise ValueError(f"mask out of range for n={n}")
-        # a repeat takes the verdict of its first occurrence, which the
-        # walk below reaches first, and changes no cache
+        # a repeat takes the verdict of its first occurrence, changing no cache
         uniq = list(dict.fromkeys(masks))
         flags = masks_flags(uniq, n)
         words = _words(flags)
+        width = flags.sum(axis=1)
         known = np.array([self._memo.get(m, -1) for m in uniq], dtype=np.int64)
-        known[flags.sum(axis=1) <= self.p] = 0
-        undecided = np.flatnonzero(known < 0)
-        # a window holds no more masks than the open chunk has room for, so
-        # the chunk fills, and the caches change, only after a whole window
-        pos, chunk = 0, undecided[:0]
-        while pos < len(undecided):
-            window = undecided[pos : pos + EXCHANGE_BATCH - len(chunk)]
-            answer = np.full(len(window), -1)
+        known[width <= self.p] = 0
+        pending = np.flatnonzero(known < 0)
+        while len(pending):
             # gathers and word operations, not matrix products: a BLAS product
             # this size runs threaded and stalls whenever another process
             # holds a core
-            answer[flags[window][:, self._cores.T].all(axis=1).any(axis=1)] = 1
-            spill = np.zeros((len(window), len(self._outside)), dtype=np.uint64)
-            for j, column in enumerate(words[window].T):
+            spill = np.zeros((len(pending), len(self._outside)), dtype=np.uint64)
+            for j, column in enumerate(words[pending].T):
                 spill |= column[:, None] & self._outside[:, j]
-            answer[(spill == 0).any(axis=1)] = 0
+            answer = np.where((spill == 0).any(axis=1), 0, -1)
+            rest = np.flatnonzero(answer < 0)
+            answer[rest[flags[pending[rest]][:, self._cores.T].all(axis=1).any(axis=1)]] = 1
             hit = answer >= 0
-            known[window[hit]] = answer[hit]
-            self._memo.update(zip([uniq[i] for i in window[hit]], answer[hit].tolist()))
-            chunk = np.concatenate([chunk, window[~hit]])
-            pos += len(window)
-            if len(chunk) == EXCHANGE_BATCH or (pos == len(undecided) and len(chunk)):
-                known[chunk] = self._settle([uniq[i] for i in chunk], flags[chunk])
-                chunk = chunk[:0]
+            known[pending[hit]] = answer[hit]
+            self._memo.update(zip([uniq[i] for i in pending[hit]], answer[hit].tolist()))
+            misses = pending[~hit]
+            # the leading misses whose stack, queries x widest query, fits
+            cells = np.arange(1, len(misses) + 1) * np.maximum.accumulate(width[misses])
+            lead = misses[: max(1, np.searchsorted(cells, EXCHANGE_CELLS, side="right"))]
+            if len(lead):
+                known[lead] = self._settle([uniq[i] for i in lead], flags[lead])
+            pending = misses[len(lead) :]
         verdicts = dict(zip(uniq, known.tolist()))
         return [verdicts[m] for m in masks]
 

@@ -26,6 +26,12 @@ def test_sf_symmetry_and_validation():
         sf_distance([1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
         sf_distance([1, 2], [1, 2], k=3)
+    with pytest.raises(ValueError):
+        sf_distance((), ())
+    with pytest.raises(ValueError):
+        sf_distance([1, 1, 2], [1, 2, 3])
+    with pytest.raises(ValueError):
+        sf_distance([1, 2, 3], [3, 3, 1])
 
 
 def test_sf_bound_exhaustive_small_k():

@@ -293,21 +293,36 @@ def test_exchange_keeps_the_lp_off_the_oracle_hot_path():
 
 
 def test_exchange_stacks_the_oracle_hot_path(monkeypatch):
-    # one stacked exchange per chunk of queries: three solves per pivot
-    # round of the chunk, not three per pivot of every query
+    # one stacked exchange per resolve that has misses: three solves per
+    # pivot round of the stack, not three per pivot of every query
     data = gen_hyperplane_data(GenSpec(n=80, dim=8, seed=11, outlier_count=10))
     oracle = FeasibilityOracle(data.dataset, 0.1)
-    solve = np.linalg.solve
-    calls = 0
+    solve, exchange, resolve = np.linalg.solve, models._exchange, oracle.resolve
+    calls, stacks, with_misses = 0, 0, 0
 
-    def counting(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         nonlocal calls
         calls += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    def counting_exchange(*args):
+        nonlocal stacks
+        stacks += 1
+        return exchange(*args)
+
+    def counting_resolve(subsets):
+        nonlocal with_misses
+        before = oracle.core_tests
+        verdicts = resolve(subsets)
+        with_misses += oracle.core_tests > before
+        return verdicts
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(models, "_exchange", counting_exchange)
+    monkeypatch.setattr(oracle, "resolve", counting_resolve)
     estimate_influence_bernoulli(oracle, range(80), 0.15, 100, 0)
     assert oracle.core_tests > 0
+    assert stacks == with_misses > 0
     assert calls <= oracle.core_tests // 4
 
 
@@ -611,6 +626,20 @@ def test_oracle_determinism_across_call_and_resolve():
     assert batched.evaluations == len(masks)
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 200])
+def test_words_layout(width):
+    # bit j of word w is flag 64 w + j, and the bits past the last flag are 0
+    flags = np.random.default_rng(width).random((5, width)) < 0.5
+    flags[0], flags[1] = False, True
+    words = models._words(flags)
+    assert words.dtype == np.uint64 and words.shape == (5, -(-width // 64))
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    bits = bits.reshape(5, -1).astype(bool)
+    assert np.array_equal(bits[:, :width], flags)
+    assert not bits[:, width:].any()
+    assert models._words(flags[:0]).shape == (0, words.shape[1])
+
+
 def cached_covers(oracle):
     """The covers of the oracle's cached fits as masks, best fit first."""
     full = (1 << oracle.n) - 1
@@ -629,74 +658,94 @@ def oracle_state(o):
 
 
 def sequential_resolve(oracle, masks):
-    """``resolve`` one mask at a time: the trivial, memo, theta-cover and core
-    layers, then the exchange for each 128 distinct masks no layer answers."""
+    """``resolve`` one mask at a time: every distinct mask the trivial and
+    memo layers leave open is tested against the theta-cover and core layers,
+    the leading misses whose stack, masks x the widest mask's points, fits
+    ``EXCHANGE_CELLS`` are settled by one exchange, and the rest are tested
+    again against the caches it updated."""
     out, pending = [], {}
-    covers, cores = cached_covers(oracle), cached_cores(oracle)
-
-    def settle():
-        nonlocal covers, cores
-        chunk = list(pending)
-        for mask, verdict in zip(chunk, oracle._settle(chunk, masks_flags(chunk, oracle.n))):
-            for pos in pending[mask]:
-                out[pos] = verdict
-        pending.clear()
-        covers, cores = cached_covers(oracle), cached_cores(oracle)
-
     for mask in masks:
-        verdict = oracle._memo.get(mask)
-        if mask.bit_count() <= oracle.p:
-            verdict = 0
-        elif verdict is None:
+        verdict = 0 if mask.bit_count() <= oracle.p else oracle._memo.get(mask)
+        if verdict is None:
+            pending.setdefault(mask, []).append(len(out))
+        out.append(verdict)
+    while pending:
+        covers, cores, misses = cached_covers(oracle), cached_cores(oracle), []
+        for mask, positions in pending.items():
             if any(mask & ~cover == 0 for cover in covers):
                 verdict = oracle._memo[mask] = 0
             elif any(core & mask == core for core in cores):
                 verdict = oracle._memo[mask] = 1
             else:
-                pending.setdefault(mask, []).append(len(out))
-        out.append(verdict)
-        if len(pending) == models.EXCHANGE_BATCH:
-            settle()
-    if pending:
-        settle()
+                misses.append(mask)
+                continue
+            for pos in positions:
+                out[pos] = verdict
+        lead = misses[:1]
+        for mask in misses[1:]:
+            widest = max(m.bit_count() for m in lead + [mask])
+            if (len(lead) + 1) * widest > models.EXCHANGE_CELLS:
+                break
+            lead.append(mask)
+        for mask, verdict in zip(lead, oracle._settle(lead, masks_flags(lead, oracle.n))):
+            for pos in pending[mask]:
+                out[pos] = verdict
+        pending = {mask: pending[mask] for mask in misses[len(lead) :]}
     return out
 
 
-def test_resolve_matches_sequential_reference():
+def test_resolve_matches_sequential_reference(monkeypatch):
     # enough certificates to overflow both caches, so that answers from
-    # evicted ones would show in the counts
+    # evicted ones would show in the counts; at the default bound each
+    # resolve settles its misses in one stack, at the small one in several
     data = gen_hyperplane_data(GenSpec(n=80, dim=8, outlier_count=20, seed=2))
     inliers = np.isin(np.arange(80), data.inliers)
-    rng = np.random.default_rng(2)
-    oracle, ref = FeasibilityOracle(data.dataset, 0.05), FeasibilityOracle(data.dataset, 0.05)
+    exchange, stacks = models._exchange, []
+
+    def counting(*args):
+        stacks[-1] += 1
+        return exchange(*args)
 
     def inside(theta):
         return np.abs(data.dataset.features @ theta - data.dataset.responses) <= 0.05
 
-    def consider_theta(theta):
-        # append, stable sort by coverage, cut to size, rebuild the words
-        coverage = int(inside(theta).sum())
-        if len(ref._thetas) < models.THETA_CACHE_SIZE or coverage > ref._thetas[-1][0]:
-            ref._thetas.append((coverage, theta))
-            ref._thetas.sort(key=lambda e: -e[0])
-            del ref._thetas[models.THETA_CACHE_SIZE :]
-            ref._outside = models._words(np.array([~inside(th) for _, th in ref._thetas]))
+    monkeypatch.setattr(models, "_exchange", counting)
+    for cells in (models.EXCHANGE_CELLS, 1 << 11):
+        monkeypatch.setattr(models, "EXCHANGE_CELLS", cells)
+        rng = np.random.default_rng(2)
+        oracle, ref = FeasibilityOracle(data.dataset, 0.05), FeasibilityOracle(data.dataset, 0.05)
 
-    ref._consider_theta = consider_theta
-    thetas, cores = set(), set()
-    for _ in range(6):
-        flags = rng.random((800, 80)) < rng.uniform(0.05, 0.6, size=(800, 1))
-        flags &= inliers | (rng.random((800, 1)) < 0.5)
-        masks = flags_masks(flags)
-        masks += masks[:50]
-        assert oracle.resolve(masks) == sequential_resolve(ref, masks)
-        for mask in masks[::40]:
-            ref._evals += 1
-            assert oracle(mask) == sequential_resolve(ref, [mask])[0]
-        assert oracle_state(oracle) == oracle_state(ref)
-        thetas |= set(cached_covers(oracle))
-        cores |= set(cached_cores(oracle))
-    assert len(thetas) > models.THETA_CACHE_SIZE and len(cores) > models.WITNESS_CACHE_SIZE
+        def consider_theta(theta, ref=ref):
+            # append, stable sort by coverage, cut to size, rebuild the words
+            coverage = int(inside(theta).sum())
+            if len(ref._thetas) < models.THETA_CACHE_SIZE or coverage > ref._thetas[-1][0]:
+                ref._thetas.append((coverage, theta))
+                ref._thetas.sort(key=lambda e: -e[0])
+                del ref._thetas[models.THETA_CACHE_SIZE :]
+                ref._outside = models._words(np.array([~inside(th) for _, th in ref._thetas]))
+
+        ref._consider_theta = consider_theta
+        thetas, cores, per_resolve = set(), set(), []
+        for _ in range(6):
+            flags = rng.random((800, 80)) < rng.uniform(0.05, 0.6, size=(800, 1))
+            flags &= inliers | (rng.random((800, 1)) < 0.5)
+            masks = flags_masks(flags)
+            masks += masks[:50]
+            stacks.append(0)
+            verdicts = oracle.resolve(masks)
+            per_resolve.append(stacks[-1])
+            assert verdicts == sequential_resolve(ref, masks)
+            for mask in masks[::40]:
+                ref._evals += 1
+                assert oracle(mask) == sequential_resolve(ref, [mask])[0]
+            assert oracle_state(oracle) == oracle_state(ref)
+            thetas |= set(cached_covers(oracle))
+            cores |= set(cached_cores(oracle))
+        assert len(thetas) > models.THETA_CACHE_SIZE and len(cores) > models.WITNESS_CACHE_SIZE
+        if cells == 1 << 11:
+            assert min(per_resolve) > 1
+        else:
+            assert max(per_resolve) == 1
 
 
 def test_resolve_of_no_masks_or_only_trivial_masks_changes_nothing():
