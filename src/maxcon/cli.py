@@ -87,6 +87,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fit(args) -> int:
     dataset = models.load_dataset_csv(args.data)
+    if args.paired_rows and dataset.n % 2:
+        raise ValueError("--paired-rows needs an even number of rows")
     budget = {
         "iterations": args.iterations,
         "time": args.time_budget,
@@ -100,8 +102,6 @@ def _cmd_fit(args) -> int:
     )
     payload = result.to_json_dict()
     if args.paired_rows:
-        if dataset.n % 2:
-            raise ValueError("--paired-rows needs an even number of rows")
         matched = ingest.match_consensus(result.inlier_set, dataset.n // 2)
         payload["match_consensus_size"] = len(matched)
         payload["match_consensus"] = list(matched)

@@ -63,9 +63,10 @@ class ExperimentConfig:
     ``seeds`` has one seed per repetition (per trial in an influence sweep,
     which reads them only with fresh data from a seeded source).  A dataset
     key that its source does not read, a method spec whose name is not in
-    ``solvers.METHODS`` or with a key outside ``_SPEC_KEYS``, an unknown
-    ``ground_truth`` and an influence sweep of no trials, no q values or no
-    h values are refused before the batch runs.
+    ``solvers.METHODS`` or with a key outside ``_SPEC_KEYS``, a dataset or
+    method spec that is not an object, an unknown ``ground_truth`` or
+    ``estimator_mode`` and an influence sweep of no trials, no q values or
+    no h values are refused before the batch runs.
     """
 
     dataset: dict
@@ -87,6 +88,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("solver_comparison", "influence_sweep"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if not isinstance(self.dataset, dict):
+            raise ValueError(f"dataset must be an object, got {self.dataset!r}")
+        if self.estimator_mode not in ("paper", "unbiased"):
+            raise ValueError(
+                f"unknown estimator_mode {self.estimator_mode!r}; expected paper or unbiased"
+            )
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.kind == "influence_sweep" and self.trials < 1:
@@ -102,6 +109,8 @@ class ExperimentConfig:
         if self.kind == "solver_comparison" and not self.methods:
             raise ValueError("solver_comparison needs a methods list")
         for spec in self.methods:
+            if not isinstance(spec, dict):
+                raise ValueError(f"a method spec must be an object, got {spec!r}")
             if spec.get("name") not in METHODS:
                 raise ValueError(
                     f"unknown method {spec.get('name')!r} in {spec!r}; "

@@ -44,12 +44,10 @@ DEFAULT_MAX_BASES = 200_000
 THETA_CACHE_SIZE = 24
 WITNESS_CACHE_SIZE = 128
 
-# Most cells, queries x the widest query's rows, of one stacked exchange;
-# bounds its memory.
+# Most cells of one stacked array, the module's one bound on memory: queries
+# x the widest query's rows in an exchange, (p+1)-subsets x p+1 rows in
+# ``_chebyshev_combos``, candidate fits x n residuals in ``_best_consensus``.
 EXCHANGE_CELLS = 1 << 18
-
-# Most (p+1)-subsets fitted, or candidate fits scored, at once; bounds memory.
-COMBO_CHUNK = 20_000
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +251,7 @@ def _ratio_test(
 
 def _exchange(
     A: np.ndarray, y: np.ndarray, members: np.ndarray, eps: float | None, theta0: np.ndarray
-) -> list[tuple[int | None, np.ndarray | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified feasibility of many row subsets of (A, y) by reference ascent.
 
     Row b of the boolean ``members`` (B, m), m being the number of rows of
@@ -278,18 +276,22 @@ def _exchange(
 
     The reference is kept sorted, so even the rounded h is a function of the
     reference set alone: a strictly rising h never revisits a reference, and
-    the ascent ends without an iteration cap.  A query gets (None, None)
-    instead of a guess when a solve turns singular, h fails to strictly
-    increase or the worst point is already in the reference (a degenerate
-    reference), or when a fit within the limit is not certain beyond the
-    rounding of its residuals, so every produced answer carries an explicit
-    certificate: (1, reference rows of A) or (0, theta).
+    the ascent ends without an iteration cap.  A query gives up instead of
+    guessing when a solve turns singular, h fails to strictly increase or
+    the worst point is already in the reference (a degenerate reference),
+    or when a fit within the limit is not certain beyond the rounding of its
+    residuals, so every answer carries an explicit certificate.
     Every query starts from the reference of its p+1 largest residuals
     under the one start vector theta0.
+
+    Returns three arrays indexed by query: the verdicts (B,), -1 for a
+    give-up and otherwise 0 or 1; the theta rows (B, p), the certificate of
+    a verdict 0; and the core rows (B, p+1), the reference rows of A that
+    certify a verdict 1.  The other rows of both are zero.
     """
     B = len(members)
     p = A.shape[1]
-    out: list[tuple[int | None, np.ndarray | None]] = [(None, None)] * B
+    verdicts, thetas, cores = np.full(B, -1), np.zeros((B, p)), np.zeros((B, p + 1), np.intp)
     count = members.sum(axis=1)
     rows = np.zeros((B, count.max()), dtype=np.intp)
     inside = np.arange(rows.shape[1]) < count[:, None]
@@ -308,8 +310,8 @@ def _exchange(
         lam, h, sigma, theta, ok = _reference(a_ref, y_ref)
         limit = h + TIE_RTOL * (h + y_max) if eps is None else np.full_like(h, eps)
         infeasible = ok & (h > limit + TIE_RTOL * (limit + y_max))
-        for b, core in zip(ids[infeasible].tolist(), rows[ids[infeasible, None], ref[infeasible]]):
-            out[b] = (1, core)
+        done = ids[infeasible]
+        verdicts[done], cores[done] = 1, rows[done[:, None], ref[infeasible]]
         rising = ok & ~infeasible & (h > h_prev)
         resid = np.einsum("bwp,bp->bw", a_q, theta) - y_q
         size = np.abs(resid)
@@ -321,8 +323,8 @@ def _exchange(
             f = np.flatnonzero(fits)
             slack = np.einsum("bwp,bp->bw", np.abs(a_q[f]), np.abs(theta[f])) + np.abs(y_q[f])
             certain = (size[f] + (p + 2) * _UNIT_ROUNDOFF * slack <= limit[f, None]).all(axis=1)
-            for b, fit in zip(ids[f[certain]].tolist(), theta[f[certain]]):
-                out[b] = (0, fit)
+            done = ids[f[certain]]
+            verdicts[done], thetas[done] = 0, theta[f[certain]]
         a_in = np.sign(resid[at, w])[:, None] * a_q[at, w]
         go = rising & ~fits
         if not go.all():
@@ -335,7 +337,7 @@ def _exchange(
         h_prev = h
         if not ok.all():
             ids, a_q, y_q, ref, h_prev = ids[ok], a_q[ok], y_q[ok], ref[ok], h_prev[ok]
-    return out
+    return verdicts, thetas, cores
 
 
 def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> MinimaxFit:
@@ -362,11 +364,12 @@ def minimax_fit(dataset: LinearDataset, subset: Iterable[int] | None = None) -> 
         raise IndexError("subset index out of range")
     A, y = dataset.rows(idx)
     m, p = A.shape
-    theta = None
+    verdict = -1
     if m > p:
         start = np.linalg.lstsq(A, y, rcond=None)[0]
-        theta = _exchange(A, y, np.ones((1, m), bool), None, start)[0][1]
-    if theta is None:
+        verdicts, thetas, _ = _exchange(A, y, np.ones((1, m), bool), None, start)
+        verdict, theta = verdicts[0], thetas[0]
+    if verdict != 0:
         theta = _chebyshev_lp(A, y)[1]
     resid = np.abs(A @ theta - y)
     value = float(resid.max())
@@ -399,33 +402,30 @@ def _chebyshev_combos(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev values and parameters for many (p+1)-point subsets at once.
 
-    Each subset is one reference of ``_reference``, the exchange's kernel,
-    and its value is the largest residual the levelled theta achieves, so
-    the returned theta attains the returned value.  The kernel's h is a
-    lower bound on the subset's value, and the fit is taken by the rule the
-    exchange applies with no threshold: every residual plus its rounding
-    bound within h plus the tie margin TIE_RTOL * (h + max |y|).  A subset
-    whose solves are singular, or whose fit misses that bar (rank-deficient
-    features make the levelled solve ill-conditioned), is fitted by the LP
-    instead.  Subsets are processed ``COMBO_CHUNK`` at a time, a bound on
-    memory.
+    Each subset is one query of ``_exchange`` with no threshold, the call
+    ``minimax_fit`` makes.  A query of p+1 rows is its own start reference,
+    whatever the start vector, so the exchange either accepts that
+    reference's levelled fit at once, its residuals plus their rounding
+    bounds within the tie margin of h, or gives up.  An accepted subset's value is the largest residual its theta
+    achieves, so the returned theta attains the returned value.  A subset
+    the exchange gives up on (singular solves, or a fit missing the margin:
+    rank-deficient features make the levelled solve ill-conditioned) takes
+    both its value and its theta from the LP.  Each stack holds at most
+    ``EXCHANGE_CELLS`` cells, subsets times p+1 rows, a bound on memory.
     """
     p = combos.shape[1] - 1
-    rounding = (p + 2) * _UNIT_ROUNDOFF
+    step = max(1, EXCHANGE_CELLS // (p + 1))
     values = np.empty(len(combos))
     thetas = np.empty((len(combos), p))
-    for lo in range(0, len(combos), COMBO_CHUNK):
-        sel = combos[lo : lo + COMBO_CHUNK]
-        a_ref, y_ref = A[sel], y[sel]
-        _, h, _, theta, ok = _reference(a_ref, y_ref)
-        resid = np.abs(np.einsum("smp,sp->sm", a_ref, theta) - y_ref)
-        slack = rounding * (np.einsum("smp,sp->sm", np.abs(a_ref), np.abs(theta)) + np.abs(y_ref))
-        limit = h + TIE_RTOL * (h + np.abs(y_ref).max(axis=1))
-        exact = ok & ((resid + slack).max(axis=1) <= limit)
-        values[lo : lo + len(sel)] = resid.max(axis=1)
-        thetas[lo : lo + len(sel)] = theta
-        for d in np.flatnonzero(~exact):
-            values[lo + d], thetas[lo + d], _ = _chebyshev_lp(a_ref[d], y_ref[d])
+    for lo in range(0, len(combos), step):
+        sel = combos[lo : lo + step]
+        members = np.zeros((len(sel), len(y)), dtype=bool)
+        members[np.arange(len(sel))[:, None], sel] = True
+        verdicts, theta, _ = _exchange(A, y, members, None, np.zeros(p))
+        resid = np.abs(np.einsum("smp,sp->sm", A[sel], theta) - y[sel])
+        values[lo : lo + len(sel)], thetas[lo : lo + len(sel)] = resid.max(axis=1), theta
+        for d in np.flatnonzero(verdicts < 0):
+            values[lo + d], thetas[lo + d], _ = _chebyshev_lp(A[sel[d]], y[sel[d]])
     return values, thetas
 
 
@@ -577,25 +577,21 @@ class FeasibilityOracle:
         verdicts = dict(zip(uniq, known.tolist()))
         return [verdicts[m] for m in masks]
 
-    def _settle(self, masks: list[int], members: np.ndarray) -> list[int]:
+    def _settle(self, masks: list[int], members: np.ndarray) -> np.ndarray:
         """Decide distinct masks, flagged row by row in ``members``, by one
         stacked exchange; memoise and return their verdicts."""
         feats, resp = self.dataset.features, self.dataset.responses
         self._core_tests += len(masks)
         start = self._thetas[0][1] if self._thetas else self._lstsq
-        answers = _exchange(feats, resp, members, self.epsilon, start)
-        verdicts, cores = [], []
-        for row, (verdict, evidence) in zip(members, answers):
-            if verdict == 1:
-                cores.append(evidence)
-            elif verdict == 0:
-                self._consider_theta(evidence)
+        verdicts, thetas, cores = _exchange(feats, resp, members, self.epsilon, start)
+        found = cores[verdicts == 1]
+        for b in np.flatnonzero(verdicts != 1):
+            if verdicts[b] == 0:
+                self._consider_theta(thetas[b])
             else:
-                verdict = self._lp_verdict(np.flatnonzero(row))
-            verdicts.append(verdict)
-        self._memo.update(zip(masks, verdicts))
-        if cores:
-            self._cores = np.concatenate([cores[::-1], self._cores])[:WITNESS_CACHE_SIZE]
+                verdicts[b] = self._lp_verdict(np.flatnonzero(members[b]))
+        self._memo.update(zip(masks, verdicts.tolist()))
+        self._cores = np.concatenate([found[::-1], self._cores])[:WITNESS_CACHE_SIZE]
         return verdicts
 
     def _lp_verdict(self, rows: np.ndarray) -> int:
@@ -671,8 +667,9 @@ def _best_consensus(
     """Largest consensus among candidate parameter rows; the first one wins ties."""
     best_count = -1
     best_theta: np.ndarray | None = None
-    for lo in range(0, len(thetas), COMBO_CHUNK):
-        th = thetas[lo : lo + COMBO_CHUNK]
+    step = max(1, EXCHANGE_CELLS // dataset.n)
+    for lo in range(0, len(thetas), step):
+        th = thetas[lo : lo + step]
         counts = consensus_counts(dataset, epsilon, th)
         j = int(np.argmax(counts))
         if counts[j] > best_count:
@@ -730,7 +727,9 @@ def exact_maxcon_enumerate(f) -> tuple[int, ...]:
     Works on any monotone Boolean function over the cube (a feasibility
     oracle or a synthetic function).  Among the feasible vertices of maximal
     level the one whose index tuple is lexicographically smallest is
-    returned, matching a level-by-level scan in combination order.
+    returned, matching a level-by-level scan in combination order.  A
+    function with no feasible vertex (f of the empty set is 1) raises
+    ``ValueError``.
 
     On a ``FeasibilityOracle`` the result inherits the oracle's
     general-position assumption: every subset of at most p points counts as
@@ -742,6 +741,8 @@ def exact_maxcon_enumerate(f) -> tuple[int, ...]:
     cube._check_cap(n)
     table = cube.truth_table(f)
     feasible = table == 0
+    if not feasible.any():
+        raise ValueError("no subset is feasible, not even the empty set")
     levels = cube.level_table(n)
     top = int(levels[feasible].max())
     cands = np.flatnonzero(feasible & (levels == top)).astype(np.int64)

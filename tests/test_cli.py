@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from maxcon import theory
+from maxcon import solvers, theory
 from maxcon.cli import main
 from maxcon.ingest import CorrespondenceSet, save_correspondences_csv
 from maxcon.models import load_dataset_csv
@@ -81,6 +81,25 @@ def test_fit_rejects_invalid_budgets(tmp_path, capsys):
         code, out, err = run_cli(fit + flags, capsys)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_fit_paired_rows_refuses_odd_rows_before_solving(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "line.csv"
+    run_cli(
+        ["gen", "--n", "9", "--dim", "2", "--outliers", "2", "--seed", "1", "--out", str(data)],
+        capsys,
+    )
+    assert data.exists()
+    calls = []
+    monkeypatch.setattr(solvers, "solve", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(
+        ["fit", "--data", str(data), "--eps", "0.1", "--method", "wi", "--paired-rows"], capsys
+    )
+    assert (code, out, calls) == (1, "", [])
+    assert len(err.strip().splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "even number of rows" in error["message"]
 
 
 def test_influence_exact_and_estimated(tmp_path, capsys):

@@ -138,8 +138,19 @@ def test_config_validation():
     for grid in ("q_values", "h_values"):
         with pytest.raises(ValueError, match=f"nonempty {grid}"):
             ExperimentConfig(dataset={}, epsilon=0.1, kind="influence_sweep", **{grid: []})
+    # malformed specs and modes must not fail only once the batch is running
+    with pytest.raises(ValueError, match=r"dataset must be an object, got \['generated'\]"):
+        ExperimentConfig(dataset=["generated"], epsilon=0.1, methods=[{"name": "wi"}])
+    with pytest.raises(ValueError, match="a method spec must be an object, got 'wi'"):
+        ExperimentConfig(dataset={}, epsilon=0.1, methods=["wi"])
+    for kind in ("influence_sweep", "solver_comparison"):
+        with pytest.raises(ValueError, match="unknown estimator_mode 'papr'"):
+            ExperimentConfig(
+                dataset={}, epsilon=0.1, kind=kind, methods=[{"name": "wi"}], estimator_mode="papr"
+            )
     ExperimentConfig(dataset={}, epsilon=0.1, methods=[{"name": "wi"}], ground_truth="exact")
     ExperimentConfig(dataset={}, epsilon=0.1, kind="influence_sweep", trials=1)
+    ExperimentConfig(dataset={}, epsilon=0.1, kind="influence_sweep", estimator_mode="unbiased")
 
 
 def test_unknown_method_spec_key_is_refused_before_running():

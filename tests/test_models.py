@@ -16,6 +16,7 @@ from maxcon.cube import (
     mask_from_string,
     mask_rows,
     masks_flags,
+    upward_closure_table,
 )
 from maxcon.datagen import GenSpec, gen_hyperplane_data, synthetic_h_instance
 from maxcon.errors import BudgetError, ContractError
@@ -192,6 +193,13 @@ def assert_exchange_certificate(A, y, eps, verdict, evidence):
         assert np.abs(A @ evidence - y).max() <= eps
 
 
+def exchange_answers(*args):
+    """_exchange's answers query by query, as (verdict, evidence): the core
+    rows for a verdict 1, otherwise the theta row (zero for a give-up, -1)."""
+    verdicts, thetas, cores = _exchange(*args)
+    return [(v, cores[b] if v == 1 else thetas[b]) for b, v in enumerate(verdicts.tolist())]
+
+
 def test_exchange_agrees_with_lp_on_random_subsets():
     rng = np.random.default_rng(7)
     for p, n in ((2, 30), (8, 120)):
@@ -204,7 +212,7 @@ def test_exchange_agrees_with_lp_on_random_subsets():
             A, y = feats[rows], resp[rows]
             value, _, _ = _chebyshev_lp(A, y)
             start = np.linalg.lstsq(A, y, rcond=None)[0]
-            verdict, evidence = _exchange(A, y, np.ones((1, len(y)), bool), 0.25, start)[0]
+            verdict, evidence = exchange_answers(A, y, np.ones((1, len(y)), bool), 0.25, start)[0]
             assert verdict == int(value > 0.25)
             assert_exchange_certificate(A, y, 0.25, verdict, evidence)
 
@@ -229,7 +237,7 @@ def test_exchange_without_eps_ends_stacked_queries_at_their_optimum(seed, p):
     A, y = ds.features, ds.responses
     members = stacked_members(rng, n, p, 8)
     start = np.linalg.lstsq(A, y, rcond=None)[0]
-    for row, (verdict, theta) in zip(members, _exchange(A, y, members, None, start)):
+    for row, (verdict, theta) in zip(members, exchange_answers(A, y, members, None, start)):
         assert verdict == 0
         value, _, _ = _chebyshev_lp(A[row], y[row])
         worst = np.abs(A[row] @ theta - y[row]).max()
@@ -243,7 +251,7 @@ def test_exchange_without_eps_on_degenerate_data(seed, p, duplicates, collinear)
     A, y = ds.features, ds.responses
     members = stacked_members(rng, ds.n, p, 15)
     start = np.linalg.lstsq(A, y, rcond=None)[0]
-    for row, (verdict, theta) in zip(members, _exchange(A, y, members, None, start)):
+    for row, (verdict, theta) in zip(members, exchange_answers(A, y, members, None, start)):
         assert verdict != 1
         if verdict == 0:
             value, _, _ = _chebyshev_lp(A[row], y[row])
@@ -270,8 +278,8 @@ def test_exchange_matches_lp_on_homography_subsets(monkeypatch):
         A, y = ds.features, ds.responses
         members = stacked_members(np.random.default_rng(seed), ds.n, ds.p, 120)
         start = np.linalg.lstsq(A, y, rcond=None)[0]
-        for row, (verdict, evidence) in zip(members, _exchange(A, y, members, eps, start)):
-            if verdict is None:
+        for row, (verdict, evidence) in zip(members, exchange_answers(A, y, members, eps, start)):
+            if verdict < 0:
                 continue
             rows = np.flatnonzero(row)
             value, _, _ = _chebyshev_lp(A[rows], y[rows])
@@ -357,8 +365,8 @@ def test_oracle_and_exchange_on_degenerate_data(seed, p, duplicates, collinear):
         if abs(value - eps) > 1e-9:
             assert verdict == int(value > eps)
         start = np.linalg.lstsq(A, y, rcond=None)[0]
-        answer, evidence = _exchange(A, y, np.ones((1, len(y)), bool), eps, start)[0]
-        if answer is not None:
+        answer, evidence = exchange_answers(A, y, np.ones((1, len(y)), bool), eps, start)[0]
+        if answer >= 0:
             assert_exchange_certificate(A, y, eps, answer, evidence)
 
 
@@ -447,6 +455,25 @@ def test_chebyshev_combos_match_lp_on_degenerate_data(seed, p, duplicates, colli
         A, y = ds.rows(rows)
         assert value == pytest.approx(_chebyshev_lp(A, y)[0], abs=1e-9)
         assert np.abs(A @ theta - y).max() == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def test_chebyshev_combos_return_the_lp_rows_of_give_ups():
+    # a subset the exchange gives up on takes the LP's own value and theta
+    # bit for bit: a value recomputed from theta moves degenerate tables
+    for p, duplicates, collinear in itertools.product((2, 3), (False, True), (False, True)):
+        ds, _, _ = degenerate_dataset(1, p, duplicates, collinear)
+        A, y = ds.features, ds.responses
+        combos = np.array(list(itertools.combinations(range(ds.n), p + 1)))
+        members = np.zeros((len(combos), ds.n), dtype=bool)
+        members[np.arange(len(combos))[:, None], combos] = True
+        gave_up = _exchange(A, y, members, None, np.zeros(p))[0] < 0
+        if collinear and p == 2:
+            assert gave_up.all()
+        values, thetas = _chebyshev_combos(A, y, combos)
+        for rows, value, theta in zip(combos[gave_up], values[gave_up], thetas[gave_up]):
+            want_value, want_theta, _ = _chebyshev_lp(A[rows], y[rows])
+            assert value == want_value
+            assert np.array_equal(theta, want_theta)
 
 
 def test_truth_table_matches_lp_on_collinear_features():
@@ -862,6 +889,9 @@ def test_enumerate_trivial_cases():
     assert exact_maxcon_enumerate(f) == (0, 1)
     with pytest.raises(BudgetError):
         exact_maxcon_enumerate(AboveTheCap())
+    # f(empty set) = 1: monotone, so every vertex is infeasible
+    with pytest.raises(ValueError, match="no subset is feasible"):
+        exact_maxcon_enumerate(TabulatedFunction(upward_closure_table(4, [0]), 4))
 
 
 def test_oracle_truth_table_refused_above_the_cap():
